@@ -11,13 +11,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import DomainError, NumericalError
 from .leakage import (
     FinitePartition,
     Interval,
     LeakageNats,
+    _bounded_numerator,
     interval_leakage,
     tail_thresholds,
 )
@@ -117,7 +117,7 @@ def _interior_leak_matrix(cuts, unit, sigma_n):
     lens = np.abs(q[None, :] - q[:, None])
     counts = np.abs(np.arange(q.size)[None, :] - np.arange(q.size)[:, None])
     with np.errstate(divide="ignore", invalid="ignore"):
-        num = np.log(_sp.erf(lens / (2.0 * sigma_n * math.sqrt(2.0))))
+        num = np.log(_bounded_numerator(lens, sigma_n))
         leak = num - np.log(counts * unit)  # diagonal is NaN and never read
     return leak
 
@@ -166,10 +166,8 @@ def _side_value(m, masses, right):
     ps = 1.0 - cum if right else cum
     cuts = np.interp(ps, F, Y)
     value = -math.log(max(masses[0], _MASS_FLOOR))
-    scale = 2.0 * m.sigma_n * math.sqrt(2.0)
     for i in range(1, len(masses)):
-        length = abs(cuts[i] - cuts[i - 1])
-        numer = _sp.erf(length / scale)
+        numer = _bounded_numerator(abs(cuts[i] - cuts[i - 1]), m.sigma_n)
         if numer <= 0.0:
             return -np.inf
         value = min(value, math.log(numer) - math.log(max(masses[i], _MASS_FLOOR)))
@@ -197,13 +195,18 @@ def _refine_allocation(m, kl, w, delta):
     n = w.size
     if n == 1:
         return w, _alloc_value(m, kl, w)
+    F = m._Fy_grid
     for _ in range(3):
         for b in range(1, n):
             cum = np.cumsum(w)
-            lo = cum[b - 2] if b >= 2 else 0.0
-            hi = cum[b] if b < n - 1 else delta
-            lo += _MASS_FLOOR
-            hi -= _MASS_FLOOR
+            lo = (cum[b - 2] if b >= 2 else 0.0) + _MASS_FLOOR
+            hi = (cum[b] if b < n - 1 else delta) - _MASS_FLOOR
+            # keep the quantile level of each cut that moves with s inside
+            # (F[0], F[-1]], i.e. inside the working window
+            if b <= kl:  # left cut at level s
+                lo, hi = max(lo, F[0]), min(hi, F[-1])
+            if b >= kl:  # right cut at level 1 - (delta - s)
+                lo, hi = max(lo, delta - (1.0 - F[0])), min(hi, delta - (1.0 - F[-1]))
             if hi <= lo:
                 continue
 
@@ -256,8 +259,9 @@ def envelope_bruteforce_lower_bound(m, delta, max_cells):
     Bad outcomes searched: a left-tail slice stack and a right-tail
     slice stack (tail plus interior slices hugging the tail cut), at
     most max_cells bad outcomes total, masses allocated in units of
-    delta/32 and then refined continuously. Always returns at least the
-    single-tail construction.
+    delta/32 and then refined continuously. Cuts are kept inside the
+    working window; returns at least the single-tail construction
+    whenever that fits, and raises DomainError when no tail cut does.
     """
     if not (isinstance(delta, (int, float)) and 0.0 < delta < 1.0):
         raise DomainError("delta must lie strictly between 0 and 1")
@@ -267,13 +271,15 @@ def envelope_bruteforce_lower_bound(m, delta, max_cells):
     unit = delta / _UNITS
     F, Y = m._Fy_grid, m.y_grid
     iu = np.arange(1, _UNITS + 1) * unit
-    cuts_l = np.interp(iu, F, Y)
-    cuts_r = np.interp(1.0 - iu, F, Y)
-    tail_leak = -np.log(iu)
-    int_l = _interior_leak_matrix(cuts_l, unit, m.sigma_n)
-    int_r = _interior_leak_matrix(cuts_r, unit, m.sigma_n)
-    best_l, choice_l = _side_best(tail_leak, int_l, max_cells)
-    best_r, choice_r = _side_best(tail_leak, int_r, max_cells)
+    sides = []
+    for p in (iu, 1.0 - iu):
+        # a cut whose quantile level lies outside (F[0], F[-1]] falls
+        # outside the working window: every slice ending there is infeasible
+        ok = (p > F[0]) & (p <= F[-1])
+        interior = _interior_leak_matrix(np.interp(p, F, Y), unit, m.sigma_n)
+        interior[:, ~ok] = -np.inf
+        sides.append(_side_best(np.where(ok, -np.log(iu), -np.inf), interior, max_cells))
+    (best_l, choice_l), (best_r, choice_r) = sides
 
     candidates = []  # (value, kl, kr, jl) lexicographic-deterministic
     for kl in range(0, max_cells + 1):
@@ -293,6 +299,10 @@ def envelope_bruteforce_lower_bound(m, delta, max_cells):
                     v = min(v, best_r[kr, jr])
                 if np.isfinite(v):
                     candidates.append((float(v), kl, kr, jl))
+    if not candidates:
+        raise DomainError(
+            f"delta={delta!r} leaves no tail cut inside the working window"
+        )
     candidates.sort(key=lambda t: (-t[0], t[1], t[2], t[3]))
 
     best_value, best_exact = -math.inf, None
@@ -360,25 +370,32 @@ def _two_tail_witness(m, delta):
     return FinitePartition(cells, ("tail_left", "core", "tail_right"))
 
 
-def envelope_point(m, delta, max_cells=4, _report=None, _delta0=None):
+def _closed_form_test(m, report):
+    """Predicate on delta: does the closed form log(2/delta) apply on m?
+
+    delta0_estimate runs only once every other hypothesis holds.
+    """
+    if isinstance(m.prior, GaussianPrior):
+        ratio_ok = bool(report.gaussian_ratio_ok)
+        return lambda delta: ratio_ok and delta < 0.5
+    if not (
+        report.variance_ok
+        and getattr(m.prior, "is_full_support", False)
+        and abs(m._x_mean) <= 1e-8
+        and report.tail_unimodal_M is not None
+    ):
+        return lambda delta: False
+    delta0 = delta0_estimate(m)
+    return lambda delta: delta0 is not None and delta <= delta0
+
+
+def envelope_point(m, delta, max_cells=4, _closed=None):
     """Envelope value at one delta, with regime label and witness."""
     if not (isinstance(delta, (int, float)) and 0.0 < delta < 1.0):
         raise DomainError("delta must lie strictly between 0 and 1")
-    report = condition_report(m) if _report is None else _report
-
-    if isinstance(m.prior, GaussianPrior):
-        closed = bool(report.gaussian_ratio_ok) and delta < 0.5
-    else:
-        delta0 = delta0_estimate(m) if _delta0 is None else _delta0
-        closed = (
-            report.variance_ok
-            and getattr(m.prior, "is_full_support", False)
-            and abs(m._x_mean) <= 1e-8
-            and report.tail_unimodal_M is not None
-            and delta0 is not None
-            and delta <= delta0
-        )
-    if closed:
+    if _closed is None:
+        _closed = _closed_form_test(m, condition_report(m))
+    if _closed(delta):
         return EnvelopePoint(
             delta=float(delta),
             epsilon_d=LeakageNats(math.log(2.0 / delta)),
@@ -392,16 +409,10 @@ def envelope_point(m, delta, max_cells=4, _report=None, _delta0=None):
 
 
 def envelope_curve(m, deltas, max_cells=4):
-    """envelope_point over a delta grid, sharing the condition report."""
+    """envelope_point over a delta grid, sharing one regime test."""
     deltas = [float(d) for d in deltas]
     for d in deltas:
         if not 0.0 < d < 1.0:
             raise DomainError("every delta must lie strictly between 0 and 1")
-    report = condition_report(m)
-    delta0 = None
-    if not isinstance(m.prior, GaussianPrior):
-        delta0 = delta0_estimate(m)
-    return [
-        envelope_point(m, d, max_cells=max_cells, _report=report, _delta0=delta0)
-        for d in deltas
-    ]
+    closed = _closed_form_test(m, condition_report(m))
+    return [envelope_point(m, d, max_cells=max_cells, _closed=closed) for d in deltas]

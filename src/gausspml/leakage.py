@@ -18,6 +18,7 @@ from .numerics import golden_section_max
 
 _ORACLE_MIN_POINTS = 4096
 _ORACLE_SPACING = 1 / 400  # in units of sigma_n
+_SQRT2 = math.sqrt(2.0)
 
 
 class LeakageNats(float):
@@ -126,28 +127,39 @@ class FinitePartition:
 # -- event masses -------------------------------------------------------
 
 
-def _cell_mass(m, iv):
-    """P_Y(iv) by quadrature over the prior, cancellation-free.
+def _phi_diff(za, zb):
+    """Phi(zb) - Phi(za) for za <= zb, elementwise and cancellation-free.
 
-    Per secret value the kernel CDF difference is evaluated on
-    whichever side of the kernel median keeps both terms small, so the
-    result stays relatively accurate deep in the tails.
+    The difference is taken on whichever side of zero keeps both terms
+    small (Phi(zb) - Phi(za) = Phi(-za) - Phi(-zb)), so it stays
+    relatively accurate deep in either tail.
     """
-    xs, wfx, sn = m._xs, m._wfx, m.sigma_n
+    flip = za + zb > 0.0
+    return _sp.ndtr(np.where(flip, -za, zb)) - _sp.ndtr(np.where(flip, -zb, za))
+
+
+def _kernel_prob(iv, x, sigma_n):
+    """P(Y in iv | X=x) under the noise kernel, for an array of x."""
+    if math.isinf(iv.lo):
+        return _sp.ndtr((iv.hi - x) / sigma_n)
+    if math.isinf(iv.hi):
+        return _sp.ndtr((x - iv.lo) / sigma_n)
+    return np.maximum(_phi_diff((iv.lo - x) / sigma_n, (iv.hi - x) / sigma_n), 0.0)
+
+
+def _bounded_numerator(length, sigma_n):
+    """sup_x P(Y in (a, a+length) | X=x) = 2 Phi(length/(2 sigma_n)) - 1.
+
+    The supremum is attained by the secret at the interval's midpoint.
+    """
+    return _sp.erf(length / (2.0 * sigma_n * _SQRT2))
+
+
+def _cell_mass(m, iv):
+    """P_Y(iv) by quadrature over the prior, cancellation-free."""
     if iv.is_full_line:
         return 1.0
-    if math.isinf(iv.lo):
-        return float(_sp.ndtr((iv.hi - xs) / sn) @ wfx)
-    if math.isinf(iv.hi):
-        return float(_sp.ndtr((xs - iv.lo) / sn) @ wfx)
-    za = (iv.lo - xs) / sn
-    zb = (iv.hi - xs) / sn
-    d = np.where(
-        za + zb > 0.0,
-        _sp.ndtr(-za) - _sp.ndtr(-zb),
-        _sp.ndtr(zb) - _sp.ndtr(za),
-    )
-    return float(np.maximum(d, 0.0) @ wfx)
+    return float(_kernel_prob(iv, m._xs, m.sigma_n) @ m._wfx)
 
 
 def event_mass(m, intervals):
@@ -156,29 +168,8 @@ def event_mass(m, intervals):
 
 
 def _conditional_union_prob(m, union, x):
-    """P(Y in union | X=x) for an array of x; Phi differences per cell."""
-    x = np.asarray(x, dtype=float)
-    sn = m.sigma_n
-    total = np.zeros_like(x)
-    for iv in union:
-        if iv.is_full_line:
-            total += 1.0
-            continue
-        if math.isinf(iv.lo):
-            total += _sp.ndtr((iv.hi - x) / sn)
-            continue
-        if math.isinf(iv.hi):
-            total += _sp.ndtr((x - iv.lo) / sn)
-            continue
-        za = (iv.lo - x) / sn
-        zb = (iv.hi - x) / sn
-        d = np.where(
-            za + zb > 0.0,
-            _sp.ndtr(-za) - _sp.ndtr(-zb),
-            _sp.ndtr(zb) - _sp.ndtr(za),
-        )
-        total += np.maximum(d, 0.0)
-    return total
+    """P(Y in union | X=x) for an array of x."""
+    return sum(_kernel_prob(iv, x, m.sigma_n) for iv in union)
 
 
 # -- leakage of events --------------------------------------------------
@@ -204,8 +195,7 @@ def interval_leakage(m, iv):
         raise DomainError(f"interval ({iv.lo!r}, {iv.hi!r}) carries no output mass")
     if iv.has_tail:
         return LeakageNats(-math.log(mass))
-    u = (iv.hi - iv.lo) / (2.0 * m.sigma_n)
-    numer = _sp.erf(u / math.sqrt(2.0))  # = 2 Phi(u) - 1
+    numer = _bounded_numerator(iv.hi - iv.lo, m.sigma_n)
     return LeakageNats(math.log(numer) - math.log(mass))
 
 

@@ -1,8 +1,11 @@
 """Additive Gaussian noise channel Y = X + N with cached marginal tables.
 
 Everything downstream (leakage, envelopes, verification) queries this
-object. Construction fills every numerical cache; the instance is
-immutable afterwards and all queries are safe to issue concurrently.
+object. Every marginal and posterior quantity is a sum of the Gaussian
+noise kernel against the prior's quadrature nodes, computed by the one
+chunked reduction `_kernel_reduce`. Construction tabulates f_Y, f_Y'
+and F_Y on the y grid; the instance is immutable afterwards and all
+queries are safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -12,14 +15,47 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, NumericalError
 from .numerics import DEFAULT_CONFIG, QuadratureConfig, find_root_increasing
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _CHUNK = 512  # rows per kernel-matrix block; bounds peak memory
-_TINY = 1e-300
+
+# Row sums of one kernel block: z = (y - x)/sigma_n over the nodes x with
+# weights w, k = phi(z)/sigma_n (None when only "cdf" is asked for).
+_TERMS = {
+    "f": lambda z, k, xs, w, sn: k @ w,  # f_Y
+    "df": lambda z, k, xs, w, sn: (k * z) @ w * (-1.0 / sn),  # f_Y'
+    "d2f": lambda z, k, xs, w, sn: (k * (z * z - 1.0)) @ w / (sn * sn),  # f_Y''
+    "m1": lambda z, k, xs, w, sn: k @ (w * xs),  # f_Y E[X | Y=y]
+    "m2": lambda z, k, xs, w, sn: k @ (w * xs * xs),  # f_Y E[X^2 | Y=y]
+    "cdf": lambda z, k, xs, w, sn: _sp.ndtr(z) @ w,  # F_Y
+}
+
+
+def _kernel_reduce(ys, xs, wfx, sigma_n, terms):
+    """Kernel sums over the prior nodes (xs, wfx) at every y, by name.
+
+    Returns one array per name in terms (see _TERMS), shaped like ys.
+    The kernel block is built 512 rows at a time; exp is evaluated only
+    when a density or moment term is asked for, ndtr only for "cdf".
+    """
+    arr = np.asarray(ys, dtype=float)
+    flat = arr.reshape(-1)
+    if not np.isfinite(flat).all():
+        raise DomainError("y must be finite")
+    fns = [_TERMS[t] for t in terms]
+    out = np.empty((len(fns), flat.size))
+    knorm = 1.0 / (sigma_n * math.sqrt(2.0 * math.pi))
+    dense = any(t != "cdf" for t in terms)
+    for s in range(0, flat.size, _CHUNK):
+        e = min(s + _CHUNK, flat.size)
+        z = (flat[s:e, None] - xs[None, :]) / sigma_n
+        k = np.exp(-0.5 * z * z) * knorm if dense else None
+        for i, fn in enumerate(fns):
+            out[i, s:e] = fn(z, k, xs, wfx, sigma_n)
+    return tuple(row.reshape(arr.shape) for row in out)
 
 
 def _simpson_nodes(lo, hi, panels):
@@ -67,7 +103,6 @@ class Mechanism:
             )
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_wfx", wfx)
-        object.__setattr__(self, "_knorm", 1.0 / (sn * math.sqrt(2.0 * math.pi)))
 
         mean_x = float(wfx @ xs)
         var_x = float(wfx @ (xs - mean_x) ** 2)
@@ -85,34 +120,18 @@ class Mechanism:
                 raise DomainError("y_grid must be finite and strictly increasing")
         object.__setattr__(self, "y_grid", grid)
 
-        fy = np.empty(grid.size)
-        dfy = np.empty(grid.size)
-        Fy = np.empty(grid.size)
-        for s in range(0, grid.size, _CHUNK):
-            e = min(s + _CHUNK, grid.size)
-            z = (grid[s:e, None] - xs[None, :]) / sn
-            k = np.exp(-0.5 * z * z) * self._knorm
-            fy[s:e] = k @ wfx
-            dfy[s:e] = (k * z) @ wfx * (-1.0 / sn)
-            Fy[s:e] = _sp.ndtr(z) @ wfx
+        fy, dfy, Fy = _kernel_reduce(grid, xs, wfx, sn, ("f", "df", "cdf"))
         object.__setattr__(self, "_fy_grid", fy)
         object.__setattr__(self, "_dfy_grid", dfy)
         Fy = np.minimum(np.maximum.accumulate(np.clip(Fy, 0.0, 1.0)), 1.0)
         object.__setattr__(self, "_Fy_grid", Fy)
-        object.__setattr__(self, "_cdf_pchip", PchipInterpolator(grid, Fy, extrapolate=False))
-        object.__setattr__(
-            self, "_logfy_pchip",
-            PchipInterpolator(grid, np.log(np.maximum(fy, _TINY)), extrapolate=False),
-        )
 
         # resolution probe: the marginal from a rule twice as fine must agree
         xs2, wts2 = _simpson_nodes(x_lo, x_hi, 2 * self.cfg.panel_count)
         wfx2 = wts2 * np.asarray(self.prior.density(xs2), dtype=float)
         probe = np.linspace(grid[0], grid[-1], 9)
-        z2 = (probe[:, None] - xs2[None, :]) / sn
-        f2 = (np.exp(-0.5 * z2 * z2) * self._knorm) @ wfx2
-        z1 = (probe[:, None] - xs[None, :]) / sn
-        f1 = (np.exp(-0.5 * z1 * z1) * self._knorm) @ wfx
+        (f2,) = _kernel_reduce(probe, xs2, wfx2, sn, ("f",))
+        (f1,) = _kernel_reduce(probe, xs, wfx, sn, ("f",))
         err = float(np.max(np.abs(f1 - f2)))
         if err > 10.0 * self.cfg.abs_tol:
             raise NumericalError(
@@ -140,58 +159,31 @@ class Mechanism:
 
     # -- marginal --------------------------------------------------------
 
-    def _marginal_terms(self, ys, order=0):
-        """f_Y and its first/second derivatives by analytic kernel calculus.
+    def _density_terms(self, ys, terms):
+        """Kernel sums at ys, terms[0] == "f"; raises where f_Y underflows.
 
         Derivatives differentiate the Gaussian kernel under the integral
         sign; finite differences are never used here.
         """
-        arr = np.asarray(ys, dtype=float)
-        flat = np.atleast_1d(arr).ravel()
-        if not np.all(np.isfinite(flat)):
-            raise DomainError("y must be finite")
-        sn = self.sigma_n
-        f = np.empty(flat.size)
-        f1 = np.empty(flat.size) if order >= 1 else None
-        f2 = np.empty(flat.size) if order >= 2 else None
-        for s in range(0, flat.size, _CHUNK):
-            e = min(s + _CHUNK, flat.size)
-            z = (flat[s:e, None] - self._xs[None, :]) / sn
-            k = np.exp(-0.5 * z * z) * self._knorm
-            f[s:e] = k @ self._wfx
-            if order >= 1:
-                f1[s:e] = (k * z) @ self._wfx * (-1.0 / sn)
-            if order >= 2:
-                f2[s:e] = (k * (z * z - 1.0)) @ self._wfx / (sn * sn)
+        out = _kernel_reduce(ys, self._xs, self._wfx, self.sigma_n, terms)
+        f = out[0].ravel()
         if np.any(f <= 0.0):
-            bad = flat[np.argmax(f <= 0.0)]
+            bad = np.asarray(ys, dtype=float).ravel()[np.argmax(f <= 0.0)]
             raise DomainError(
                 f"marginal density underflows at y={bad!r}; outside the working window"
             )
-        shape = arr.shape
-        out = [f.reshape(shape)]
-        out.append(f1.reshape(shape) if order >= 1 else None)
-        out.append(f2.reshape(shape) if order >= 2 else None)
-        return tuple(out)
+        return out
 
     def marginal_density(self, y):
         """f_Y(y); scalar in, scalar out."""
-        f, _, _ = self._marginal_terms(y, order=0)
+        (f,) = self._density_terms(y, ("f",))
         return float(f) if np.ndim(y) == 0 else f
 
     def marginal_cdf(self, y):
-        """F_Y(y) by direct quadrature (not the interpolant)."""
-        arr = np.asarray(y, dtype=float)
-        flat = np.atleast_1d(arr).ravel()
-        if not np.all(np.isfinite(flat)):
-            raise DomainError("y must be finite")
-        out = np.empty(flat.size)
-        for s in range(0, flat.size, _CHUNK):
-            e = min(s + _CHUNK, flat.size)
-            z = (flat[s:e, None] - self._xs[None, :]) / self.sigma_n
-            out[s:e] = _sp.ndtr(z) @ self._wfx
-        out = np.clip(out, 0.0, 1.0)
-        return float(out[0]) if np.ndim(y) == 0 else out.reshape(arr.shape)
+        """F_Y(y) by direct quadrature (not the cached table)."""
+        (out,) = _kernel_reduce(y, self._xs, self._wfx, self.sigma_n, ("cdf",))
+        out = out.clip(0.0, 1.0)
+        return float(out) if np.ndim(y) == 0 else out
 
     def marginal_quantile(self, p):
         """F_Y^{-1}(p): bracket on the cached table, bisect the true CDF."""
@@ -209,7 +201,7 @@ class Mechanism:
 
     def posterior_mean(self, y):
         """E[X | Y=y] = sigma_n^2 f_Y'(y)/f_Y(y) + y."""
-        f, f1, _ = self._marginal_terms(y, order=1)
+        f, f1 = self._density_terms(y, ("f", "df"))
         out = self.sigma_n**2 * f1 / f + np.asarray(y, dtype=float)
         return float(out) if np.ndim(y) == 0 else out
 
@@ -220,30 +212,9 @@ class Mechanism:
         the curvature identity var = sigma_n^4 (log f_Y)'' + sigma_n^2.
         They share kernel evaluations but reduce them independently.
         """
-        flat = np.atleast_1d(np.asarray(ys, dtype=float)).ravel()
-        if not np.all(np.isfinite(flat)):
-            raise DomainError("y must be finite")
+        flat = np.asarray(ys, dtype=float).reshape(-1)
         sn = self.sigma_n
-        xs, wfx = self._xs, self._wfx
-        f = np.empty(flat.size)
-        f1 = np.empty(flat.size)
-        f2 = np.empty(flat.size)
-        m1 = np.empty(flat.size)
-        m2 = np.empty(flat.size)
-        for s in range(0, flat.size, _CHUNK):
-            e = min(s + _CHUNK, flat.size)
-            z = (flat[s:e, None] - xs[None, :]) / sn
-            k = np.exp(-0.5 * z * z) * self._knorm
-            f[s:e] = k @ wfx
-            f1[s:e] = (k * z) @ wfx * (-1.0 / sn)
-            f2[s:e] = (k * (z * z - 1.0)) @ wfx / (sn * sn)
-            m1[s:e] = k @ (wfx * xs)
-            m2[s:e] = k @ (wfx * xs * xs)
-        if np.any(f <= 0.0):
-            bad = flat[np.argmax(f <= 0.0)]
-            raise DomainError(
-                f"marginal density underflows at y={bad!r}; outside the working window"
-            )
+        f, f1, f2, m1, m2 = self._density_terms(flat, ("f", "df", "d2f", "m1", "m2"))
         mean_direct = m1 / f
         var_direct = m2 / f - mean_direct**2
         r1 = f1 / f
@@ -276,7 +247,7 @@ class Mechanism:
         y = np.asarray(y, dtype=float)
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise DomainError("x and y must be finite")
-        f, _, _ = self._marginal_terms(y, order=0)
+        (f,) = self._density_terms(y, ("f",))
         z = (y - x) / self.sigma_n
         out = (-0.5 * z * z - math.log(self.sigma_n) - _LOG_SQRT_2PI) - np.log(f)
         return float(out) if out.ndim == 0 else out

@@ -10,19 +10,22 @@ exceptions; checks raise only on unusable inputs.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import DomainError, NumericalError
-from .leakage import Interval, _cell_mass, interval_leakage, set_leakage_oracle
+from .leakage import (
+    Interval,
+    _bounded_numerator,
+    _cell_mass,
+    _kernel_prob,
+    _phi_diff,
+    interval_leakage,
+    set_leakage_oracle,
+)
 from .numerics import golden_section_max
 from .priors import GaussianPrior, StronglyLogConcavePrior
-
-_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -157,7 +160,7 @@ def check_interval_monotonicity(m, a, b_max, n_grid):
     sn = m.sigma_n
     bs = np.linspace(a + (b_max - a) / n_grid, b_max, n_grid)
     u = (bs - a) / (2.0 * sn)
-    numer = _sp.erf(u / _SQRT2)  # 2 Phi(u) - 1
+    numer = _bounded_numerator(bs - a, sn)
     f_a = m.marginal_cdf(a)
     mass = m.marginal_cdf(bs) - f_a
     fy = m.marginal_density(bs)
@@ -232,12 +235,12 @@ def _superlevel_interval(m, x, rng_iv, delta):
     us = np.linspace(a, u_hi, 512)
     vs = np.interp(np.interp(us, grid_y, grid_f) + delta, grid_f, grid_y)
     sn = m.sigma_n
-    cond = _sp.ndtr((vs - x) / sn) - _sp.ndtr((us - x) / sn)
+    cond = _phi_diff((us - x) / sn, (vs - x) / sn)
     k = int(np.argmax(cond))
 
     def cond_exact(u):
         v = m.marginal_quantile(min(m.marginal_cdf(u) + delta, 1.0 - 1e-15))
-        return _sp.ndtr((v - x) / sn) - _sp.ndtr((u - x) / sn)
+        return float(_phi_diff((u - x) / sn, (v - x) / sn))
 
     lo_b = float(us[max(k - 1, 0)])
     hi_b = float(us[min(k + 1, us.size - 1)])
@@ -261,15 +264,13 @@ def check_bathtub_optimality(m, x, rng_iv, delta, n_random, seed=0):
         raise DomainError("range must be a bounded interval")
     star = _superlevel_interval(m, x, rng_iv, delta)
     sn = m.sigma_n
-    p_star = float(_sp.ndtr((star.hi - x) / sn) - _sp.ndtr((star.lo - x) / sn))
+    p_star = float(_kernel_prob(star, x, sn))
     rng = np.random.default_rng(seed)
     worst = -math.inf
     worst_loc = None
     for i in range(n_random):
         union = _random_union(m, rng, float(delta), window=(rng_iv.lo, rng_iv.hi))
-        p_rand = sum(
-            float(_sp.ndtr((c.hi - x) / sn) - _sp.ndtr((c.lo - x) / sn)) for c in union
-        )
+        p_rand = sum(float(_kernel_prob(c, x, sn)) for c in union)
         excess = p_rand - p_star
         if excess > worst:
             worst = excess
@@ -361,9 +362,9 @@ def _suite_thunks(m, seed):
 def run_suite(m, suite="all", seed=0):
     """Run the named checks (comma list or "all") in registry order.
 
-    PML_NUM_THREADS caps the worker pool; results always come back in
-    registry order with per-check seeded randomness, so the report is
-    identical whatever the parallelism.
+    Checks run one after another, each with its own seeded randomness,
+    so the report depends only on the mechanism, the suite and the seed.
+    A check that raises DomainError is reported as a not-applicable pass.
     """
     if suite == "all":
         names = _SUITE
@@ -392,13 +393,4 @@ def run_suite(m, suite="all", seed=0):
                 tolerance=0.0,
             )
 
-    env = os.environ.get("PML_NUM_THREADS", "")
-    try:
-        cap = max(1, int(env)) if env else min(4, len(names))
-    except ValueError:
-        cap = min(4, len(names))
-    if cap == 1:
-        return [run_one(n) for n in names]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        futures = [pool.submit(run_one, n) for n in names]
-        return [f.result() for f in futures]
+    return [run_one(n) for n in names]

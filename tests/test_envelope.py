@@ -7,9 +7,11 @@ import pytest
 from gausspml import (
     DomainError,
     GaussianPrior,
+    interval_leakage,
     partition_delta_quantile,
     validate_partition,
 )
+from gausspml import envelope as envelope_module
 from gausspml.envelope import (
     condition_report,
     delta0_estimate,
@@ -155,6 +157,18 @@ class TestBruteforceLowerBound:
         replay = float(partition_delta_quantile(oscillating, witness, 0.1))
         assert replay == pytest.approx(float(value), abs=1e-9)
 
+    @pytest.mark.parametrize("delta", [0.02, 0.05, 0.08, 0.11, 0.15])
+    @pytest.mark.parametrize("max_cells", [1, 2, 4, 6])
+    def test_cuts_stay_inside_window(self, oscillating, max_cells, delta):
+        # F_Y is 0.0072 at the left window edge and 1 - 0.0133 at the right
+        # one, so unit cuts of small mass near either edge are infeasible
+        value, witness = envelope_bruteforce_lower_bound(oscillating, delta, max_cells)
+        value = float(value)
+        assert math.log(1.0 / delta) - 1e-9 <= value <= math.log(max_cells / delta) + 1e-9
+        bad = [c for c, lab in zip(witness.cells, witness.labels) if lab != "core"]
+        assert 1 <= len(bad) <= max_cells
+        assert value == min(float(interval_leakage(oscillating, c)) for c in bad)
+
     def test_max_cells_domain(self, canonical):
         for bad in (0, 7, -1):
             with pytest.raises(DomainError):
@@ -179,3 +193,27 @@ class TestEnvelopeCurve:
     def test_bad_delta_rejected(self, canonical):
         with pytest.raises(DomainError):
             envelope_curve(canonical, (0.1, 1.2))
+
+    def test_mixture_skips_delta0_estimate(self, mixture, monkeypatch):
+        # variance_ok fails on the mixture, so delta0 can never be read
+        deltas = (0.05, 0.2)
+        expected = envelope_curve(mixture, deltas, max_cells=2)
+
+        def unreachable(m):
+            raise AssertionError("delta0_estimate ran although the closed form is ruled out")
+
+        monkeypatch.setattr(envelope_module, "delta0_estimate", unreachable)
+        assert envelope_curve(mixture, deltas, max_cells=2) == expected
+
+    def test_slc_estimates_delta0_once_per_curve(self, slc, monkeypatch):
+        calls = []
+        original = envelope_module.delta0_estimate
+
+        def counting(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(envelope_module, "delta0_estimate", counting)
+        curve = envelope_curve(slc, (0.05, 0.1, 0.3, 0.45), max_cells=2)
+        assert len(calls) == 1
+        assert curve[0].regime == "ClosedForm"

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from gausspml import (
     validate_partition,
     worst_interval_search,
 )
+from gausspml.leakage import _kernel_prob, _phi_diff
 from oracles import trapz_interval_mass
 
 INF = math.inf
@@ -61,7 +63,50 @@ class TestInterval:
             Interval(float("nan"), 1.0)
 
 
+def _mp_normal_mass(lo, hi, sd):
+    """P(lo < Z sd < hi) at 50 digits, taken on the side where it does not cancel."""
+    with mpmath.workdps(50):
+        if lo + hi > 0.0:
+            lo, hi = -hi, -lo
+        cdf = lambda t: mpmath.ncdf(mpmath.mpf(t) / sd) if math.isfinite(t) else float(t > 0)
+        return float(cdf(hi) - cdf(lo))
+
+
+class TestPhiDifference:
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(9.0, 9.01), (-9.01, -9.0), (30.0, 30.5), (-30.5, -30.0), (0.2, 0.3), (-3.0, 5.0),
+         (8.0, INF), (-INF, -8.0)],
+    )
+    def test_conditional_probability_vs_mpmath(self, lo, hi):
+        got = float(_kernel_prob(Interval(lo, hi), 0.0, 1.0))
+        assert got == pytest.approx(_mp_normal_mass(lo, hi, 1.0), rel=1e-12)
+
+    def test_deep_tail_does_not_cancel(self):
+        # the plain form ndtr(9.01) - ndtr(9) rounds to exactly 0 here
+        got = float(_phi_diff(9.0, 9.01))
+        assert got > 0.0
+        assert got == pytest.approx(_mp_normal_mass(9.0, 9.01, 1.0), rel=1e-12)
+
+    def test_elementwise_over_arrays(self):
+        za = np.array([-9.01, -0.5, 9.0])
+        zb = np.array([-9.0, 0.25, 9.01])
+        got = _phi_diff(za, zb)
+        for g, a, b in zip(got, za, zb):
+            assert g == pytest.approx(_mp_normal_mass(a, b, 1.0), rel=1e-12)
+
+
 class TestEventMass:
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(10.0, 11.0), (-11.0, -10.0), (-INF, -10.0), (10.0, INF), (9.0, 9.01),
+         (7.0, 7.5), (0.5, 0.6), (-1.0, 2.0), (-INF, 0.3), (3.0, 12.0)],
+    )
+    def test_gaussian_closed_form(self, canonical, lo, hi):
+        # Gaussian(1) through noise 1: the marginal is N(0, 2); masses reach ~1e-12
+        got = event_mass(canonical, [Interval(lo, hi)])
+        assert got == pytest.approx(_mp_normal_mass(lo, hi, math.sqrt(2.0)), rel=1e-10)
+
     def test_matches_quadrature_oracle(self, slc):
         for lo, hi in ((-1.0, 0.5), (0.2, 2.0), (-4.0, -2.5)):
             got = event_mass(slc, [Interval(lo, hi)])

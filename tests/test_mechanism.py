@@ -1,6 +1,9 @@
 """Mechanism caches, posterior statistics, and information density."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -184,3 +187,14 @@ class TestUnimodalTailThreshold:
 
     def test_oscillating_not_certifiable(self, oscillating):
         assert oscillating.unimodal_tail_threshold() is None
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, gausspml; print('scipy.interpolate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

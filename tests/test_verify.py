@@ -176,13 +176,6 @@ class TestRunSuite:
         with pytest.raises(DomainError):
             run_suite(canonical, suite="nonexistent_check")
 
-    def test_thread_count_does_not_change_results(self, canonical, monkeypatch):
-        monkeypatch.setenv("PML_NUM_THREADS", "1")
-        seq = run_suite(canonical, seed=5)
-        monkeypatch.setenv("PML_NUM_THREADS", "8")
-        par = run_suite(canonical, seed=5)
-        assert seq == par
-
     def test_inapplicable_check_reported_not_failed(self, oscillating):
         results = run_suite(oscillating, suite="interval_monotonicity")
         assert len(results) == 1
