@@ -26,6 +26,7 @@ from .priors import GaussianPrior, check_strong_log_concavity
 
 _UNITS = 32  # simplex resolution: bad mass is allocated in units of delta/32
 _MASS_FLOOR = 1e-12
+_TIE_REL = 1e-10  # exact candidate values closer than this are ties
 _REGIME_CLOSED = "ClosedForm"
 _REGIME_LOWER = "LowerBoundOnly"
 
@@ -305,16 +306,18 @@ def envelope_bruteforce_lower_bound(m, delta, max_cells):
         )
     candidates.sort(key=lambda t: (-t[0], t[1], t[2], t[3]))
 
-    best_value, best_exact = -math.inf, None
+    best = None
     for v, kl, kr, jl in candidates[:3]:
         left = _backtrack(choice_l, kl, jl) if kl else []
         right = _backtrack(choice_r, kr, _UNITS - jl) if kr else []
         w0 = np.array([u * unit for u in left + right[::-1]], dtype=float)
         w, _ = _refine_allocation(m, kl, w0, delta)
         value, part = _exact_partition(m, kl, w, delta)
-        if float(value) > best_value:
-            best_value, best_exact = float(value), (value, part)
-    return best_exact
+        # exact values within quantile roundoff tie (a left tail and its
+        # mirror right tail on a symmetric marginal): keep the first in DP order
+        if best is None or float(value) > float(best[0]) * (1.0 + _TIE_REL):
+            best = (value, part)
+    return best
 
 
 # -- regime classification ------------------------------------------------

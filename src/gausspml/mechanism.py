@@ -186,7 +186,14 @@ class Mechanism:
         return float(out) if np.ndim(y) == 0 else out
 
     def marginal_quantile(self, p):
-        """F_Y^{-1}(p): bracket on the cached table, bisect the true CDF."""
+        """F_Y^{-1}(p) by safeguarded Newton on the direct-quadrature CDF.
+
+        The cached table gives the bracket [grid[k-1], grid[k]] and the
+        start, by linear interpolation. Each iterate is one kernel pass
+        returning F_Y and its slope f_Y; the result is the midpoint of a
+        bracket no wider than 1e-12 max(1, |bracket end|) on which
+        F_Y - p takes both signs (see find_root_increasing).
+        """
         if not (isinstance(p, (int, float)) and 0.0 < p < 1.0):
             raise DomainError("p must lie strictly between 0 and 1")
         grid, Fg = self.y_grid, self._Fy_grid
@@ -195,7 +202,13 @@ class Mechanism:
             raise DomainError(f"quantile p={p!r} falls outside the working window")
         lo, hi = float(grid[k - 1]), float(grid[k])
         tol = 1e-12 * max(1.0, abs(lo), abs(hi))
-        return find_root_increasing(lambda t: self.marginal_cdf(t) - p, lo, hi, tol)
+        x0 = lo + (p - Fg[k - 1]) / (Fg[k] - Fg[k - 1]) * (hi - lo)
+
+        def g(t):
+            F, f = _kernel_reduce(t, self._xs, self._wfx, self.sigma_n, ("cdf", "f"))
+            return float(F) - p, float(f)
+
+        return find_root_increasing(g, lo, hi, tol, x0)
 
     # -- posterior statistics ---------------------------------------------
 

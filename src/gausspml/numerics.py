@@ -1,7 +1,11 @@
-"""Special functions, quadrature, and root finding.
+"""Special functions, quadrature, root finding and maximization.
 
-Everything downstream is built on the five operations here.  All
-logarithms in this package are natural logs; leakage values are nats.
+Everything downstream is built on the operations here: the standard
+normal CDF, density and quantile, adaptive Simpson integration, the
+package's one root finder (safeguarded Newton with a bisection
+fallback, written here so that no scipy.optimize import is paid), and
+golden-section maximization. All logarithms in this package are natural
+logs; leakage values are nats.
 """
 
 from __future__ import annotations
@@ -138,8 +142,22 @@ def integrate(f, a, b, cfg=DEFAULT_CONFIG):
     )
 
 
-def find_root_increasing(g, lo, hi, tol):
-    """Bisection root of a nondecreasing g with g(lo) <= 0 <= g(hi)."""
+def find_root_increasing(g, lo, hi, tol, x0):
+    """Safeguarded Newton root of a nondecreasing g with g(lo) <= 0 <= g(hi).
+
+    g(t) returns the pair (g(t), g'(t)). Iterates start at x0 (clamped
+    into [lo, hi]) and follow rtsafe (Numerical Recipes, section 9.4):
+    take the Newton step while it stays inside the bracket and is at most
+    half the step before last, otherwise bisect. Once a Newton step is
+    below tol/2, the next iterate probes tol/2 past the current one, on
+    the root's side, so one evaluation can close the bracket; a probe
+    that fails to close it is followed by a bisection.
+
+    Returns the midpoint of a bracket no wider than tol (or at
+    floating-point resolution) with both signs of g evaluated on it. An
+    end never evaluated by the iteration is evaluated last, and the
+    wrong sign there raises PreconditionError.
+    """
     lo = _require_finite_scalar(lo, "lo")
     hi = _require_finite_scalar(hi, "hi")
     tol = float(tol)
@@ -147,21 +165,33 @@ def find_root_increasing(g, lo, hi, tol):
         raise DomainError("tol must be positive")
     if lo > hi:
         raise PreconditionError("requires lo <= hi")
-    g_lo = float(g(lo))
-    g_hi = float(g(hi))
-    if g_lo > 0.0 or g_hi < 0.0:
-        raise PreconditionError(
-            f"bracket violation: g(lo)={g_lo!r}, g(hi)={g_hi!r} must satisfy g(lo) <= 0 <= g(hi)"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # bracket at floating-point resolution
-            break
-        if float(g(mid)) < 0.0:
-            lo = mid
+    t = min(max(_require_finite_scalar(x0, "x0"), lo), hi)
+    seen_lo = seen_hi = probed = False
+    step = step_old = hi - lo
+    while True:
+        v, slope = map(float, g(t))
+        if v < 0.0:
+            lo, seen_lo = t, True
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi, seen_hi = t, True
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= tol or not lo < mid < hi:  # closed, or at resolution
+            break
+        dx = v / slope if slope > 0.0 else math.inf
+        nxt = t - dx
+        if not probed and abs(dx) < 0.5 * tol:
+            nxt, probed = (t + 0.5 * tol if v < 0.0 else t - 0.5 * tol), True
+        elif probed or not lo < nxt < hi or abs(dx) > 0.5 * abs(step_old):
+            nxt, probed = mid, False
+        step_old, step = step, nxt - t
+        t = nxt
+    for name, end, seen, sign in (("lo", lo, seen_lo, 1.0), ("hi", hi, seen_hi, -1.0)):
+        v = 0.0 if seen else float(g(end)[0])
+        if sign * v > 0.0:
+            raise PreconditionError(
+                f"bracket violation: g({name})={v!r} breaks g(lo) <= 0 <= g(hi)"
+            )
+    return mid
 
 
 def golden_section_max(f, lo, hi, tol=1e-10, max_iter=200):

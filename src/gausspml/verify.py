@@ -54,42 +54,52 @@ def _result(name, worst, tol, location, details):
 # -- random event generation ----------------------------------------------
 
 
-def _random_union(m, rng, target, window=None, max_intervals=4):
-    """Disjoint intervals with total output mass target (within 1e-6).
+def _union_sampler(m, window=None, max_intervals=4):
+    """draw(rng, target): disjoint intervals with total output mass target.
 
     Endpoints are uniform in the window; the rightmost interval's upper
-    endpoint is then re-solved so the total mass lands on target.
-    Rejection-samples draws that leave no room for the adjustment.
+    endpoint is then re-solved so the total mass lands on target (within
+    1e-6). Rejection-samples draws that leave no room for the adjustment.
+    F_Y at the window ends is evaluated once, here, for every draw.
     """
     win_lo, win_hi = window if window is not None else m.window
-    avail = m.marginal_cdf(win_hi) - m.marginal_cdf(win_lo)
-    if not 0.0 < target < avail:
-        raise DomainError(f"target mass {target!r} infeasible in the window")
-    for _ in range(200):
-        k = int(rng.integers(1, max_intervals + 1))
-        pts = np.sort(rng.uniform(win_lo, win_hi, size=2 * k))
-        cells = [Interval(float(pts[2 * i]), float(pts[2 * i + 1])) for i in range(k)]
-        base = sum(_cell_mass(m, c) for c in cells[:-1])
-        need = target - base
-        if need <= 1e-12:
-            continue
-        p_target = m.marginal_cdf(cells[-1].lo) + need
-        if p_target >= m.marginal_cdf(win_hi) - 1e-12:
-            continue
-        try:
-            new_hi = m.marginal_quantile(p_target)
-        except DomainError:
-            continue
-        if new_hi <= cells[-1].lo or new_hi > win_hi:
-            continue
-        cells[-1] = Interval(cells[-1].lo, float(new_hi))
-        got = base + _cell_mass(m, cells[-1])
-        if abs(got - target) <= 1e-6:
-            return cells
-    raise NumericalError(
-        f"could not draw a random union of mass {target!r} in 200 attempts",
-        operation="_random_union",
-    )
+    f_lo, f_hi = m.marginal_cdf(win_lo), m.marginal_cdf(win_hi)
+
+    def draw(rng, target):
+        if not 0.0 < target < f_hi - f_lo:
+            raise DomainError(f"target mass {target!r} infeasible in the window")
+        for _ in range(200):
+            k = int(rng.integers(1, max_intervals + 1))
+            pts = np.sort(rng.uniform(win_lo, win_hi, size=2 * k))
+            cells = [Interval(float(pts[2 * i]), float(pts[2 * i + 1])) for i in range(k)]
+            base = sum(_cell_mass(m, c) for c in cells[:-1])
+            need = target - base
+            if need <= 1e-12:
+                continue
+            p_target = m.marginal_cdf(cells[-1].lo) + need
+            if p_target >= f_hi - 1e-12:
+                continue
+            try:
+                new_hi = m.marginal_quantile(p_target)
+            except DomainError:
+                continue
+            if new_hi <= cells[-1].lo or new_hi > win_hi:
+                continue
+            cells[-1] = Interval(cells[-1].lo, float(new_hi))
+            got = base + _cell_mass(m, cells[-1])
+            if abs(got - target) <= 1e-6:
+                return cells
+        raise NumericalError(
+            f"could not draw a random union of mass {target!r} in 200 attempts",
+            operation="_random_union",
+        )
+
+    return draw
+
+
+def _random_union(m, rng, target, window=None, max_intervals=4):
+    """One draw of _union_sampler(m, window, max_intervals)."""
+    return _union_sampler(m, window, max_intervals)(rng, target)
 
 
 # -- checks ----------------------------------------------------------------
@@ -204,8 +214,9 @@ def check_tail_worst_bound(m, delta, n_random_sets, seed=0):
     leak_r = float(interval_leakage(m, Interval(t_r, math.inf)))
     worst = max(abs(leak_l - bound), abs(leak_r - bound))
     worst_loc = ("left_tail", t_l) if abs(leak_l - bound) >= abs(leak_r - bound) else ("right_tail", t_r)
+    draw = _union_sampler(m)
     for i in range(n_random_sets):
-        union = _random_union(m, rng, float(delta))
+        union = draw(rng, float(delta))
         excess = float(set_leakage_oracle(m, union)) - bound
         if excess > worst:
             worst = excess
@@ -268,8 +279,9 @@ def check_bathtub_optimality(m, x, rng_iv, delta, n_random, seed=0):
     rng = np.random.default_rng(seed)
     worst = -math.inf
     worst_loc = None
+    draw = _union_sampler(m, window=(rng_iv.lo, rng_iv.hi))
     for i in range(n_random):
-        union = _random_union(m, rng, float(delta), window=(rng_iv.lo, rng_iv.hi))
+        union = draw(rng, float(delta))
         p_rand = sum(float(_kernel_prob(c, x, sn)) for c in union)
         excess = p_rand - p_star
         if excess > worst:

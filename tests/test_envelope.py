@@ -169,6 +169,20 @@ class TestBruteforceLowerBound:
         assert 1 <= len(bad) <= max_cells
         assert value == min(float(interval_leakage(oscillating, c)) for c in bad)
 
+    @pytest.mark.parametrize("shift", [-1e-12, 1e-12])
+    def test_tied_tails_ignore_quantile_roundoff(self, slc, monkeypatch, shift):
+        # a left tail and a right tail of mass delta both leak log(1/delta);
+        # quantile roundoff must not decide which one is the witness
+        def witnesses():
+            return [envelope_bruteforce_lower_bound(slc, d, 1)[1].labels
+                    for d in (0.001, 0.02, 0.1, 0.3)]
+
+        before = witnesses()
+        quantile = type(slc).marginal_quantile
+        monkeypatch.setattr(type(slc), "marginal_quantile",
+                            lambda m, p: quantile(m, p) + shift)
+        assert witnesses() == before
+
     def test_max_cells_domain(self, canonical):
         for bad in (0, 7, -1):
             with pytest.raises(DomainError):

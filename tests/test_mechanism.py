@@ -1,5 +1,6 @@
 """Mechanism caches, posterior statistics, and information density."""
 
+import copy
 import math
 import os
 import subprocess
@@ -7,7 +8,9 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
+from gausspml import mechanism
 from gausspml import (
     DomainError,
     GaussianMixturePrior,
@@ -15,6 +18,7 @@ from gausspml import (
     GridPrior,
     Mechanism,
     NumericalError,
+    PreconditionError,
     QuadratureConfig,
     StronglyLogConcavePrior,
 )
@@ -100,6 +104,14 @@ class TestMarginal:
                 y = m.marginal_quantile(p)
                 assert m.marginal_cdf(y) == pytest.approx(p, abs=1e-11)
 
+    def test_quantile_matches_closed_form(self, canonical):
+        # Y ~ N(0, 2) on the canonical mechanism
+        for p in np.geomspace(1e-12, 0.5, 23):
+            q = math.sqrt(2.0) * float(ndtri(p))
+            assert canonical.marginal_quantile(float(p)) == pytest.approx(
+                q, rel=0, abs=1e-11 * max(1.0, abs(q))
+            )
+
     def test_quantile_domain(self, canonical):
         for p in (0.0, 1.0, -0.2, 2.0, 1e-300):
             with pytest.raises(DomainError):
@@ -109,6 +121,60 @@ class TestMarginal:
         lo, hi = slc.window
         ys = np.linspace(lo + 1e-6, hi - 1e-6, 101)
         assert np.all(slc.marginal_density(ys) > 0.0)
+
+
+class TestQuantileSolver:
+    """Kernel passes per quantile: each Newton iterate is one _kernel_reduce."""
+
+    PS = (1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.3, 0.5, 0.7, 0.95, 1 - 1e-3, 1 - 1e-4)
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """passes(m, p): kernel passes made by one m.marginal_quantile(p)."""
+        calls = []
+        reduce = mechanism._kernel_reduce
+
+        def counted(*args):
+            calls.append(args[0])
+            return reduce(*args)
+
+        monkeypatch.setattr(mechanism, "_kernel_reduce", counted)
+
+        def count(m, p):
+            calls.clear()
+            m.marginal_quantile(p)
+            return len(calls)
+
+        return count
+
+    @pytest.mark.parametrize("fixture", ["canonical", "slc", "mixture", "oscillating"])
+    def test_at_most_six_passes(self, fixture, request, passes):
+        m = request.getfixturevalue(fixture)
+        solved = 0
+        for p in self.PS:
+            if m._Fy_grid[0] < p <= m._Fy_grid[-1]:
+                assert passes(m, p) <= 6, p
+                solved += 1
+            else:  # outside the working window
+                with pytest.raises(DomainError):
+                    passes(m, p)
+        assert solved >= 5
+
+    @pytest.mark.parametrize("fixture", ["canonical", "slc", "mixture"])
+    def test_upper_tail_terminates(self, fixture, request, passes):
+        # 1 - p cancels in F_Y - p, so roundoff exceeds tol and the solve
+        # falls back to bisection; it must still close its bracket
+        m = request.getfixturevalue(fixture)
+        for p in (1 - 1e-6, 1 - 1e-9):
+            assert passes(m, p) <= 40, p
+
+    def test_corrupted_table_bracket_raises(self, canonical):
+        grid = canonical.y_grid
+        for shift in (-8, 8):  # the table bracket misses the root on either side
+            m = copy.copy(canonical)
+            object.__setattr__(m, "y_grid", grid + shift * (grid[1] - grid[0]))
+            with pytest.raises(PreconditionError):
+                m.marginal_quantile(0.3)
 
 
 class TestPosterior:
@@ -193,8 +259,10 @@ def test_import_leaves_scipy_interpolate_unloaded():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, gausspml; print('scipy.interpolate' in sys.modules)"
+    # scipy.optimize alone would add ~0.3 s to every cold `pml` process
+    code = ("import sys, gausspml; "
+            "print([m in sys.modules for m in ('scipy.interpolate', 'scipy.optimize')])")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[False, False]"

@@ -97,15 +97,58 @@ class TestIntegrate:
 
 
 class TestRootAndSearch:
+    @staticmethod
+    def _counted(g):
+        calls = []
+
+        def wrapped(t):
+            calls.append(t)
+            if len(calls) > 200:  # fail fast instead of looping on
+                raise RuntimeError("root finder does not converge")
+            return g(t)
+
+        return wrapped, calls
+
     def test_find_root_increasing_exact(self):
-        root = find_root_increasing(lambda x: x**3 - 2.0, 0.0, 2.0, tol=1e-14)
-        assert root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-12)
+        g, calls = self._counted(lambda x: (x**3 - 2.0, 3.0 * x * x))
+        root = find_root_increasing(g, 0.0, 2.0, tol=1e-14, x0=1.0)
+        assert root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-14)
+        assert len(calls) <= 8  # bisection alone needs 48
+
+    def test_find_root_zero_slope_bisects(self):
+        # a zero slope gives no Newton step: every iterate is a midpoint
+        g, calls = self._counted(lambda x: (x - 0.7, 0.0))
+        root = find_root_increasing(g, 0.0, 2.0, tol=1e-12, x0=1.5)
+        assert root == pytest.approx(0.7, abs=1e-12)
+        assert calls[:3] == [1.5, 0.75, 0.375]
+
+    def test_find_root_terminates_under_noise(self):
+        # deterministic noise of 1e-9 swamps tol = 1e-12: the sign of g is
+        # erratic near the root, yet the bracket still closes
+        def g(x):
+            noise = math.sin(x * 12.9898e6) * 43758.5453 % 1.0 - 0.5
+            return x - 0.3 + 1e-9 * noise, 1.0
+
+        g, calls = self._counted(g)
+        root = find_root_increasing(g, 0.0, 1.0, tol=1e-12, x0=0.5)
+        assert abs(root - 0.3) <= 1e-9
+        assert len(calls) <= 60
+
+    @pytest.mark.parametrize("slope", [0.52, 1e6])
+    def test_find_root_misleading_slope_terminates(self, slope):
+        # an understated slope overshoots back and forth, an overstated one
+        # crawls; the step-halving rule and the bisection after a failed
+        # probe keep both within a few times the 40 bisection steps
+        g, calls = self._counted(lambda x: (x - 0.3, slope))
+        root = find_root_increasing(g, 0.0, 1.0, tol=1e-12, x0=0.9)
+        assert root == pytest.approx(0.3, abs=1e-12)
+        assert len(calls) <= 100
 
     def test_find_root_needs_bracket(self):
         from gausspml import PreconditionError
 
         with pytest.raises(PreconditionError):
-            find_root_increasing(lambda x: x + 10.0, 0.0, 1.0, tol=1e-12)
+            find_root_increasing(lambda x: (x + 10.0, 1.0), 0.0, 1.0, tol=1e-12, x0=0.5)
 
     def test_golden_section_max_quadratic(self):
         # argmax resolution near a quadratic peak is sqrt(eps)-limited
