@@ -3,7 +3,7 @@
 Everything downstream (leakage, envelopes, verification) queries this
 object. Every marginal and posterior quantity is a sum of the Gaussian
 noise kernel against the prior's quadrature nodes, computed by the one
-chunked reduction `_kernel_reduce`. Construction tabulates f_Y, f_Y'
+banded reduction `_kernel_reduce`. Construction tabulates f_Y, f_Y'
 and F_Y on the y grid; the instance is immutable afterwards and all
 queries are safe to run concurrently.
 """
@@ -11,6 +11,7 @@ queries are safe to run concurrently.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,42 +21,119 @@ from .errors import DomainError, NumericalError
 from .numerics import DEFAULT_CONFIG, QuadratureConfig, find_root_increasing
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_CHUNK = 512  # rows per kernel-matrix block; bounds peak memory
+_CHUNK = 128  # rows per kernel block; a block spans a few sigma_n on the default grid
+_MAX_PANELS = 2**16  # largest panel count the noise scale may force on a prior
+_TILE = 64  # nodes per pairwise partial sum of F_Y (see _kernel_reduce)
 
-# Row sums of one kernel block: z = (y - x)/sigma_n over the nodes x with
-# weights w, k = phi(z)/sigma_n (None when only "cdf" is asked for).
-_TERMS = {
+# Past these standardized distances z = (y - x)/sigma_n a kernel entry is an
+# exact double constant, so _kernel_reduce never evaluates it: ndtr(z) == 1.0
+# for z >= _Z_ONE, ndtr(z) == 0.0 for z <= _Z_ZERO and exp(-z^2/2) == 0.0 for
+# |z| >= _Z_EXP. In double the constants start at 8.293, -37.68 and 38.604;
+# the margins absorb the rounding of z and of the band edges.
+_Z_ONE, _Z_ZERO, _Z_EXP = 8.5, -38.0, 38.75
+
+# exp and ndtr entries evaluated by _kernel_reduce since import: a cost
+# measure that does not depend on the machine
+_EVALS = {"exp": 0, "ndtr": 0}
+_EVALS_LOCK = threading.Lock()
+
+# Row sums of one kernel block over the density band: z = (y - x)/sigma_n
+# over the band's nodes x with weights w, k = exp(-z^2/2); _kernel_reduce
+# scales each sum by 1/(sigma_n sqrt(2 pi)).
+_DENSITY_TERMS = {
     "f": lambda z, k, xs, w, sn: k @ w,  # f_Y
     "df": lambda z, k, xs, w, sn: (k * z) @ w * (-1.0 / sn),  # f_Y'
     "d2f": lambda z, k, xs, w, sn: (k * (z * z - 1.0)) @ w / (sn * sn),  # f_Y''
     "m1": lambda z, k, xs, w, sn: k @ (w * xs),  # f_Y E[X | Y=y]
     "m2": lambda z, k, xs, w, sn: k @ (w * xs * xs),  # f_Y E[X^2 | Y=y]
-    "cdf": lambda z, k, xs, w, sn: _sp.ndtr(z) @ w,  # F_Y
 }
 
 
-def _kernel_reduce(ys, xs, wfx, sigma_n, terms):
+def _tiled(xs, w):
+    """Nodes for _kernel_reduce: xs and w padded to whole _TILE-node tiles.
+
+    The padding puts zero-weight nodes at +inf, which no band reaches.
+    Also returns the prefix sums of the tile weight sums,
+    [0, W_0, W_0 + W_1, ...], added left to right.
+    """
+    pad = -xs.size % _TILE
+    xs = np.concatenate((xs, np.full(pad, np.inf)))
+    w = np.concatenate((w, np.zeros(pad)))
+    return xs, w, np.concatenate(([0.0], np.cumsum(w.reshape(-1, _TILE).sum(axis=1))))
+
+
+def _kernel_reduce(ys, xs, wfx, tile_cdf, sigma_n, terms):
     """Kernel sums over the prior nodes (xs, wfx) at every y, by name.
 
-    Returns one array per name in terms (see _TERMS), shaped like ys.
-    The kernel block is built 512 rows at a time; exp is evaluated only
-    when a density or moment term is asked for, ndtr only for "cdf".
+    Returns one array per name in terms (see _DENSITY_TERMS, plus "cdf"
+    for F_Y), shaped like ys; (xs, wfx, tile_cdf) come from _tiled. Rows
+    are taken 128 at a time, and one searchsorted on a block's min and
+    max y finds the nodes whose kernel entries are not exact constants
+    (see _Z_ONE): exp is evaluated only where |z| < _Z_EXP, and only when
+    a density term is asked for; ndtr only where _Z_ZERO < z < _Z_ONE.
+    Every skipped entry is exactly 0, or exactly 1 left of the ndtr
+    band, so the density sums differ from the full node sum only in the
+    order of summation.
+
+    F_Y is summed over whole _TILE-node tiles: the ndtr band is filled
+    out to tile edges with its exact ones and zeros, and the tiles left
+    of it enter through the prefix tile_cdf. When ys holds more than one
+    y, each tile is summed pairwise and the tiles left to right, the
+    order of the full tiled sum, so F_Y at a given y is the same double
+    whatever block it falls in, and it does not decrease along any grid
+    coarser than the roundoff of ndtr itself. A lone y takes one dot
+    product over its tiles instead.
     """
     arr = np.asarray(ys, dtype=float)
     flat = arr.reshape(-1)
-    if not np.isfinite(flat).all():
-        raise DomainError("y must be finite")
-    fns = [_TERMS[t] for t in terms]
-    out = np.empty((len(fns), flat.size))
+    out = np.empty((len(terms), flat.size))
     knorm = 1.0 / (sigma_n * math.sqrt(2.0 * math.pi))
-    dense = any(t != "cdf" for t in terms)
+    dense = [(i, _DENSITY_TERMS[t]) for i, t in enumerate(terms) if t != "cdf"]
+    cdf = terms.index("cdf") if "cdf" in terms else None
+    d_exp, d_one, d_zero = _Z_EXP * sigma_n, _Z_ONE * sigma_n, _Z_ZERO * sigma_n
+    # a lone y has no other y in the call for its F_Y to be ordered against:
+    # one BLAS dot costs it less than the fixed-order tile sums
+    ordered = flat.size > 1
+    n_exp = n_ndtr = 0
     for s in range(0, flat.size, _CHUNK):
-        e = min(s + _CHUNK, flat.size)
-        z = (flat[s:e, None] - xs[None, :]) / sigma_n
-        k = np.exp(-0.5 * z * z) * knorm if dense else None
-        for i, fn in enumerate(fns):
-            out[i, s:e] = fn(z, k, xs, wfx, sigma_n)
-    return tuple(row.reshape(arr.shape) for row in out)
+        y = flat[s:s + _CHUNK]
+        rows = y.tolist()  # python floats: a one-row block pays no numpy reduction
+        if not all(map(math.isfinite, rows)):
+            raise DomainError("y must be finite")
+        lo, hi = min(rows), max(rows)
+        edges = np.array((lo - d_exp, lo - d_one, hi - d_zero, hi + d_exp))
+        e0, c0, c1, e1 = xs.searchsorted(edges).tolist()
+        b0, b1 = (e0, e1) if dense else (c0, c1)  # [c0, c1) lies inside [e0, e1)
+        z = np.subtract.outer(y, xs[b0:b1])
+        z /= sigma_n
+        if dense:
+            k = -0.5 * z
+            k *= z
+            np.exp(k, out=k)
+            n_exp += k.size
+            for i, fn in dense:
+                out[i, s:s + y.size] = fn(z, k, xs[e0:e1], wfx[e0:e1], sigma_n) * knorm
+        if cdf is not None:
+            # whole tiles [a0, a1): exact ones before c0, exact zeros from c1
+            a0, a1 = c0 - c0 % _TILE, c1 + (-c1 % _TILE if ordered else 0)
+            phi = np.empty((y.size, a1 - a0))
+            phi[:, :c0 - a0] = 1.0
+            _sp.ndtr(z[:, c0 - b0:c1 - b0], out=phi[:, c0 - a0:c1 - a0])
+            phi[:, c1 - a0:] = 0.0
+            n_ndtr += y.size * (c1 - c0)
+            if ordered:
+                n_tiles = (a1 - a0) // _TILE
+                phi *= wfx[a0:a1]
+                acc = np.empty((y.size, 1 + n_tiles))
+                acc[:, 0] = tile_cdf[a0 // _TILE]
+                phi.reshape(y.size, n_tiles, _TILE).sum(axis=2, out=acc[:, 1:])
+                out[cdf, s:s + y.size] = np.add.accumulate(acc, axis=1, out=acc)[:, -1]
+            else:
+                out[cdf, s] = phi[0] @ wfx[a0:a1] + tile_cdf[a0 // _TILE]
+    with _EVALS_LOCK:
+        _EVALS["exp"] += n_exp
+        _EVALS["ndtr"] += n_ndtr
+    return tuple(out.reshape((len(terms),) + arr.shape))
 
 
 def _simpson_nodes(lo, hi, panels):
@@ -76,6 +154,10 @@ class Mechanism:
     truncation window widened by truncation_halfwidth * sigma_n on each
     side; pass an increasing array to override. The grid's endpoints
     define the working window for quantiles and window-wide scans.
+
+    The prior's Simpson rule takes cfg.panel_count panels, or more when
+    that leaves nodes farther apart than sigma_n / 4; a noise scale that
+    would need more than 2**16 panels raises NumericalError.
     """
 
     prior: object
@@ -91,7 +173,16 @@ class Mechanism:
         object.__setattr__(self, "sigma_n", sn)
 
         x_lo, x_hi = self.prior.support(self.cfg)
-        xs, wts = _simpson_nodes(x_lo, x_hi, self.cfg.panel_count)
+        # nodes no farther apart than sigma_n / 4 resolve the kernel
+        floor = 2 * math.ceil(2.0 * (x_hi - x_lo) / sn)
+        if floor > max(self.cfg.panel_count, _MAX_PANELS):
+            raise NumericalError(
+                f"sigma_n={sn!r} needs {floor} quadrature panels over the prior window, "
+                f"more than the {_MAX_PANELS} allowed",
+                operation="mechanism construction",
+            )
+        panels = max(self.cfg.panel_count, floor)
+        xs, wts = _simpson_nodes(x_lo, x_hi, panels)
         fx = np.asarray(self.prior.density(xs), dtype=float)
         wfx = wts * fx
         mass = float(wfx.sum())
@@ -103,6 +194,7 @@ class Mechanism:
             )
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_wfx", wfx)
+        object.__setattr__(self, "_nodes", _tiled(xs, wfx))
 
         mean_x = float(wfx @ xs)
         var_x = float(wfx @ (xs - mean_x) ** 2)
@@ -120,22 +212,22 @@ class Mechanism:
                 raise DomainError("y_grid must be finite and strictly increasing")
         object.__setattr__(self, "y_grid", grid)
 
-        fy, dfy, Fy = _kernel_reduce(grid, xs, wfx, sn, ("f", "df", "cdf"))
+        fy, dfy, Fy = self._reduce(grid, ("f", "df", "cdf"))
         object.__setattr__(self, "_fy_grid", fy)
         object.__setattr__(self, "_dfy_grid", dfy)
         Fy = np.minimum(np.maximum.accumulate(np.clip(Fy, 0.0, 1.0)), 1.0)
         object.__setattr__(self, "_Fy_grid", Fy)
 
         # resolution probe: the marginal from a rule twice as fine must agree
-        xs2, wts2 = _simpson_nodes(x_lo, x_hi, 2 * self.cfg.panel_count)
+        xs2, wts2 = _simpson_nodes(x_lo, x_hi, 2 * panels)
         wfx2 = wts2 * np.asarray(self.prior.density(xs2), dtype=float)
         probe = np.linspace(grid[0], grid[-1], 9)
-        (f2,) = _kernel_reduce(probe, xs2, wfx2, sn, ("f",))
-        (f1,) = _kernel_reduce(probe, xs, wfx, sn, ("f",))
+        (f2,) = _kernel_reduce(probe, *_tiled(xs2, wfx2), sn, ("f",))
+        (f1,) = self._reduce(probe, ("f",))
         err = float(np.max(np.abs(f1 - f2)))
         if err > 10.0 * self.cfg.abs_tol:
             raise NumericalError(
-                f"marginal density unconverged at panel_count={self.cfg.panel_count} "
+                f"marginal density unconverged at panel_count={panels} "
                 f"(refinement moves it by {err:.3g})",
                 operation="mechanism construction",
                 last_estimate=err,
@@ -159,13 +251,17 @@ class Mechanism:
 
     # -- marginal --------------------------------------------------------
 
+    def _reduce(self, ys, terms):
+        """_kernel_reduce over this mechanism's quadrature nodes."""
+        return _kernel_reduce(ys, *self._nodes, self.sigma_n, terms)
+
     def _density_terms(self, ys, terms):
         """Kernel sums at ys, terms[0] == "f"; raises where f_Y underflows.
 
         Derivatives differentiate the Gaussian kernel under the integral
         sign; finite differences are never used here.
         """
-        out = _kernel_reduce(ys, self._xs, self._wfx, self.sigma_n, terms)
+        out = self._reduce(ys, terms)
         f = out[0].ravel()
         if np.any(f <= 0.0):
             bad = np.asarray(ys, dtype=float).ravel()[np.argmax(f <= 0.0)]
@@ -181,7 +277,7 @@ class Mechanism:
 
     def marginal_cdf(self, y):
         """F_Y(y) by direct quadrature (not the cached table)."""
-        (out,) = _kernel_reduce(y, self._xs, self._wfx, self.sigma_n, ("cdf",))
+        (out,) = self._reduce(y, ("cdf",))
         out = out.clip(0.0, 1.0)
         return float(out) if np.ndim(y) == 0 else out
 
@@ -205,7 +301,7 @@ class Mechanism:
         x0 = lo + (p - Fg[k - 1]) / (Fg[k] - Fg[k - 1]) * (hi - lo)
 
         def g(t):
-            F, f = _kernel_reduce(t, self._xs, self._wfx, self.sigma_n, ("cdf", "f"))
+            F, f = self._reduce(t, ("cdf", "f"))
             return float(F) - p, float(f)
 
         return find_root_increasing(g, lo, hi, tol, x0)

@@ -6,9 +6,10 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from gausspml import mechanism
 from gausspml import (
@@ -63,6 +64,35 @@ class TestConstruction:
         with pytest.raises(NumericalError) as err:
             Mechanism(prior, 0.05)
         assert "marginal" in str(err.value)
+
+    def test_high_snr_gaussian(self):
+        # sigma_n = 0.01 needs more than the default 2048 panels; the node
+        # spacing floor of sigma_n / 4 gives 8000. Y ~ N(0, 1.0001).
+        m = Mechanism(GaussianPrior(1.0), 0.01)
+        assert m._xs.size == 8001
+        ys = np.array([-6.0, -4.5, -2.0, -0.3, 0.0, 0.7, 3.0, 5.5])
+        with mpmath.workdps(30):
+            sy = mpmath.sqrt(mpmath.mpf("1.0001"))
+            wants = [float(mpmath.ncdf(mpmath.mpf(float(y)) / sy)) for y in ys]
+        for y, got, want in zip(ys, m.marginal_cdf(ys), wants):
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+            assert m.marginal_cdf(float(y)) == pytest.approx(want, rel=1e-12, abs=0)
+        np.testing.assert_allclose(m.posterior_variance(ys),
+                                   conjugate_posterior_variance(1.0, 0.01), rtol=1e-10)
+        np.testing.assert_allclose(m.posterior_mean(ys),
+                                   conjugate_posterior_mean(1.0, 0.01, ys), rtol=0, atol=1e-12)
+
+    def test_panel_floor_above_cap_raises_before_evaluating_the_prior(self):
+        class WidePrior:
+            def support(self, cfg):
+                return (-1.0e4, 1.0e4)
+
+            def density(self, x):
+                raise AssertionError("prior evaluated before the panel cap was checked")
+
+        # 2e4 wide at sigma_n = 0.1: 800000 panels, past the 2**16 cap
+        with pytest.raises(NumericalError, match="800000"):
+            Mechanism(WidePrior(), 0.1)
 
     def test_windows(self, canonical):
         x_lo, x_hi = canonical.x_window
@@ -175,6 +205,118 @@ class TestQuantileSolver:
             object.__setattr__(m, "y_grid", grid + shift * (grid[1] - grid[0]))
             with pytest.raises(PreconditionError):
                 m.marginal_quantile(0.3)
+
+
+def _dense_terms(ys, xs, w, sn):
+    """Each kernel term summed exactly over every node, and the sum of magnitudes."""
+    z = (np.asarray(ys, dtype=float).reshape(-1)[:, None] - xs[None, :]) / sn
+    k = np.exp(-0.5 * z * z) / (sn * math.sqrt(2.0 * math.pi))
+    parts = {
+        "f": k * w,
+        "df": k * z * w * (-1.0 / sn),
+        "d2f": k * (z * z - 1.0) * w / (sn * sn),
+        "m1": k * w * xs,
+        "m2": k * w * xs * xs,
+        "cdf": ndtr(z) * w,
+    }
+    return {t: (np.array([math.fsum(row) for row in p]), np.abs(p).sum(axis=1))
+            for t, p in parts.items()}
+
+
+class TestKernelBand:
+    """_kernel_reduce skips only kernel entries that are exact constants."""
+
+    TERMS = ("f", "df", "d2f", "m1", "m2", "cdf")
+
+    def test_thresholds_give_exact_constants(self):
+        assert np.all(ndtr(np.linspace(mechanism._Z_ONE, 40.0, 400001)) == 1.0)
+        assert np.all(ndtr(np.linspace(-60.0, mechanism._Z_ZERO, 400001)) == 0.0)
+        z = np.linspace(mechanism._Z_EXP, 60.0, 400001)  # exp(-z^2/2) is even in z
+        assert np.all(np.exp(-0.5 * z * z) == 0.0)
+        # ndtr underflows to a normal number first, not straight to zero
+        assert 0.0 < ndtr(-37.5) < 1e-307
+
+    def _assert_matches_dense(self, ys, nodes, xs, w, sn):
+        got = mechanism._kernel_reduce(ys, *nodes, sn, self.TERMS)
+        ref = _dense_terms(ys, xs, w, sn)
+        for term, g in zip(self.TERMS, got):
+            assert np.shape(g) == np.shape(ys), term
+            total, scale = ref[term]
+            err = np.abs(np.ravel(g) - total)
+            # 8 ulps of the magnitude sum; subnormal sums carry no relative precision
+            tol = 8.0 * np.finfo(float).eps * scale + np.finfo(float).tiny
+            assert np.all(err <= tol), (term, err.max())
+
+    @pytest.mark.parametrize("fixture", ["canonical", "mixture", "oscillating"])
+    def test_matches_dense_sum(self, fixture, request):
+        m = request.getfixturevalue(fixture)
+        xs, w, sn = m._xs, m._wfx, m.sigma_n
+        lo, hi = xs[0] - 50.0 * sn, xs[-1] + 50.0 * sn  # past both node ends
+        grid = np.linspace(lo, hi, 41)
+        shuffled = np.random.default_rng(3).permutation(grid)
+        for ys in (grid, shuffled, shuffled[:7].reshape(7, 1), 0.37, float(xs[5]), lo, hi):
+            self._assert_matches_dense(ys, m._nodes, xs, w, sn)
+
+    def test_single_node(self):
+        xs, w = np.array([0.25]), np.array([1.0])
+        nodes = mechanism._tiled(xs, w)
+        for ys in (np.linspace(-40.0, 40.0, 321), -0.3, 0.25, 39.0):
+            self._assert_matches_dense(ys, nodes, xs, w, 0.5)
+
+    def test_cdf_same_in_any_block(self, oscillating):
+        # a y's F_Y does not depend on which other ys share its block
+        ys = np.random.default_rng(5).uniform(-5.5, 5.5, 300)
+        (whole,) = mechanism._kernel_reduce(ys, *oscillating._nodes, 0.05, ("cdf",))
+        for i in range(0, 300, 37):
+            (pair,) = mechanism._kernel_reduce(ys[[i, -1 - i]], *oscillating._nodes, 0.05,
+                                               ("cdf",))
+            assert pair[0] == whole[i] and pair[1] == whole[-1 - i]
+
+    @staticmethod
+    def _construction_share(build):
+        """Kernel entries evaluated by one construction, as shares of the full
+        rows x nodes count: exp over the table and the resolution probe, ndtr
+        over the table."""
+        before = dict(mechanism._EVALS)
+        m = build()
+        n, rows = m._xs.size, m.y_grid.size
+        exp_full = (rows + 9) * n + 9 * (2 * n - 1)
+        return ((mechanism._EVALS["exp"] - before["exp"]) / exp_full,
+                (mechanism._EVALS["ndtr"] - before["ndtr"]) / (rows * n))
+
+    def test_band_share_oscillating(self):
+        xs = np.linspace(-6.0, 6.0, 2001)
+        prior = GridPrior(tuple(xs), tuple(-0.1 * xs**2 + 2.0 * np.sin(4.0 * xs)))
+        cfg = QuadratureConfig(truncation_halfwidth=10.0, panel_count=16384, abs_tol=1e-8)
+        exp_share, ndtr_share = self._construction_share(
+            lambda: Mechanism(prior, 0.05, cfg, y_grid=np.linspace(-5.0, 5.0, 4096)))
+        assert exp_share <= 0.40
+        assert ndtr_share <= 0.25
+
+    def test_band_share_canonical(self):
+        _, ndtr_share = self._construction_share(lambda: Mechanism(GaussianPrior(1.0), 1.0))
+        assert ndtr_share <= 0.75
+
+    def test_band_share_high_snr(self):
+        exp_share, _ = self._construction_share(lambda: Mechanism(GaussianPrior(1.0), 0.01))
+        assert exp_share <= 0.10
+
+
+class TestMonotoneCdf:
+    @pytest.mark.parametrize("fixture", ["canonical", "wide_gaussian", "slc", "mixture",
+                                         "oscillating"])
+    def test_nondecreasing_on_fine_grid(self, fixture, request):
+        m = request.getfixturevalue(fixture)
+        F = m.marginal_cdf(np.linspace(*m.window, 20000))
+        assert np.all(np.diff(F) >= 0.0)
+
+    @pytest.mark.parametrize("fixture", ["canonical", "mixture", "oscillating"])
+    def test_constant_past_the_nodes(self, fixture, request):
+        m = request.getfixturevalue(fixture)
+        start = m.x_window[1] + mechanism._Z_ONE * m.sigma_n
+        F = m.marginal_cdf(np.linspace(start, start + 30.0 * m.sigma_n, 1000))
+        assert np.all(F == F[0])
+        assert F[0] == min(m._nodes[2][-1], 1.0)
 
 
 class TestPosterior:

@@ -1,6 +1,9 @@
 """Verification checks and the suite runner."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -181,3 +184,27 @@ class TestRunSuite:
         assert len(results) == 1
         assert results[0].passed
         assert "not applicable" in results[0].details
+
+    @pytest.mark.parametrize("blas_threads", ["1", None])
+    def test_mixture_monotonicity_passes_under_any_blas_pool(self, blas_threads):
+        # F_Y is an exact prefix sum at the window edge, where the mass has
+        # saturated, so no summation order can make interval leakage decrease
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        env.pop("OPENBLAS_NUM_THREADS", None)  # None: OpenBLAS's default pool
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        code = ("from gausspml import GaussianMixturePrior, Mechanism, run_suite\n"
+                "m = Mechanism(GaussianMixturePrior((0.5, 0.5), (-2.0, 2.0), (1.0, 1.0)), 1.0)\n"
+                "for seed in (0, 1, 2):\n"
+                "    (r,) = run_suite(m, 'interval_monotonicity', seed)\n"
+                "    print(r.passed, r.worst_violation)\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 3, proc.stdout
+        for line in lines:
+            passed, worst = line.split()
+            assert passed == "True" and float(worst) <= 0.0, line
