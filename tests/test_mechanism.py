@@ -266,10 +266,9 @@ class TestKernelBand:
     def test_cdf_same_in_any_block(self, oscillating):
         # a y's F_Y does not depend on which other ys share its block
         ys = np.random.default_rng(5).uniform(-5.5, 5.5, 300)
-        (whole,) = mechanism._kernel_reduce(ys, *oscillating._nodes, 0.05, ("cdf",))
+        (whole,) = oscillating._reduce(ys, ("cdf",))
         for i in range(0, 300, 37):
-            (pair,) = mechanism._kernel_reduce(ys[[i, -1 - i]], *oscillating._nodes, 0.05,
-                                               ("cdf",))
+            (pair,) = oscillating._reduce(ys[[i, -1 - i]], ("cdf",))
             assert pair[0] == whole[i] and pair[1] == whole[-1 - i]
 
     @staticmethod
