@@ -2,27 +2,40 @@
 
 One command per process: parse a JSON config plus flags into a
 RunConfig, run the requested computation, and emit a CSV or JSON
-table. Exit status 0 on success (for verify: all checks passed),
-1 on failing checks, 2 on invalid configuration, 3 on numerical
-failure.
+table. Flags and config fields pass the same checks (the field, number
+and endpoint checks of errors.py), so a value is accepted or rejected
+alike whichever way it arrives, and `--config` may come before or
+after the subcommand. Exit status 0 on success (for verify: all checks
+passed), 1 on failing checks, 2 on invalid configuration, 3 on
+numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .envelope import envelope_bruteforce_lower_bound, envelope_curve
-from .errors import DomainError, GaussPmlError, ModelError, NumericalError
+from .errors import (
+    DomainError,
+    GaussPmlError,
+    ModelError,
+    NumericalError,
+    check_fields,
+    check_number,
+    decode_endpoint,
+    encode_endpoint,
+)
 from .leakage import (
     Interval,
     event_mass,
@@ -36,6 +49,15 @@ from .priors import GaussianPrior, prior_from_json
 from .verify import _SUITE, run_suite
 
 _COMMANDS = ("envelope", "leakage", "posterior", "verify", "search")
+_RUN_FIELDS = ("command", "command_args", "output_path", "format", "seed")
+_QUADRATURE_FIELDS = ("truncation_halfwidth", "panel_count", "abs_tol")
+_ARG_FIELDS = {
+    "envelope": ("deltas", "max_cells"),
+    "search": ("deltas", "max_cells"),
+    "leakage": ("interval", "union"),
+    "posterior": ("y_grid",),
+    "verify": ("suite",),
+}
 
 
 class ConfigError(GaussPmlError):
@@ -64,41 +86,20 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
-def _real(value, pointer, positive=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{pointer}: expected a number, got {value!r}")
-    v = float(value)
-    if not math.isfinite(v):
-        raise ConfigError(f"{pointer}: must be finite")
-    if positive and v <= 0.0:
-        raise ConfigError(f"{pointer}: must be positive")
-    return v
+def _config_errors(check):
+    """Report the DomainErrors of an input check as ConfigError."""
+
+    @functools.wraps(check)
+    def checked(*args):
+        try:
+            return check(*args)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    return checked
 
 
-def _mechanism_fields(obj, pointer):
-    _require(isinstance(obj, dict), f"{pointer or '/'}: expected an object")
-    allowed = {"prior", "sigma_n", "quadrature"}
-    for key in obj:
-        _require(key in allowed, f"{pointer}/{key}: unknown field")
-    _require("prior" in obj, f"{pointer}/prior: missing required field")
-    _require("sigma_n" in obj, f"{pointer}/sigma_n: missing required field")
-    try:
-        prior = prior_from_json(obj["prior"], pointer=f"{pointer}/prior")
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
-    sigma_n = _real(obj["sigma_n"], f"{pointer}/sigma_n", positive=True)
-    quad_obj = obj.get("quadrature", {})
-    _require(isinstance(quad_obj, dict), f"{pointer}/quadrature: expected an object")
-    quad_allowed = {"truncation_halfwidth", "panel_count", "abs_tol"}
-    for key in quad_obj:
-        _require(key in quad_allowed, f"{pointer}/quadrature/{key}: unknown field")
-    try:
-        quadrature = QuadratureConfig(**quad_obj)
-    except (DomainError, TypeError) as exc:
-        raise ConfigError(f"{pointer}/quadrature: {exc}") from exc
-    return prior, sigma_n, quadrature
-
-
+@_config_errors
 def parse_config(path):
     """Read and validate a JSON run configuration.
 
@@ -120,19 +121,20 @@ def parse_config(path):
         raise ConfigError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    _require(isinstance(obj, dict), "/: expected a JSON object")
-
-    flat = not ("mechanism" in obj)
-    mech_allowed = {"prior", "sigma_n", "quadrature"} if flat else set()
-    allowed = {"mechanism", "command", "command_args", "output_path", "format", "seed"}
-    for key in obj:
-        _require(key in allowed or key in mech_allowed, f"/{key}: unknown field")
-    if flat:
-        prior, sigma_n, quadrature = _mechanism_fields(
-            {k: obj[k] for k in mech_allowed if k in obj}, ""
-        )
+    if isinstance(obj, dict) and "mechanism" in obj:
+        check_fields(obj, "", ("mechanism",), _RUN_FIELDS)
+        pointer = "/mechanism"
+        mech = check_fields(obj["mechanism"], pointer, ("prior", "sigma_n"), ("quadrature",))
     else:
-        prior, sigma_n, quadrature = _mechanism_fields(obj["mechanism"], "/mechanism")
+        pointer = ""
+        mech = check_fields(obj, "", ("prior", "sigma_n"), ("quadrature",) + _RUN_FIELDS)
+    prior = prior_from_json(mech["prior"], f"{pointer}/prior")
+    sigma_n = check_number(mech["sigma_n"], f"{pointer}/sigma_n", positive=True)
+    quad = check_fields(mech.get("quadrature", {}), f"{pointer}/quadrature", (), _QUADRATURE_FIELDS)
+    try:
+        quadrature = QuadratureConfig(**quad)
+    except DomainError as exc:
+        raise DomainError(f"{pointer}/quadrature: {exc}") from exc
 
     command = obj.get("command")
     if command is not None:
@@ -189,59 +191,29 @@ def _parse_grid(spec, name):
     return values
 
 
-def _parse_endpoint(token, name):
-    t = token.strip().lower()
-    if t in ("-inf", "-infinity"):
-        return -math.inf
-    if t in ("inf", "+inf", "infinity", "+infinity"):
-        return math.inf
-    try:
-        return float(token)
-    except ValueError:
-        raise ConfigError(f"--{name}: bad endpoint {token!r}") from None
-
-
 def _parse_interval_flag(spec):
     parts = spec.split(",")
     _require(len(parts) == 2, f"--interval: expected lo,hi; got {spec!r}")
-    return [_parse_endpoint(parts[0], "interval"), _parse_endpoint(parts[1], "interval")]
+    try:
+        return [float(p) for p in parts]  # float() reads every spelling of inf
+    except ValueError:
+        raise ConfigError(f"--interval: bad endpoint in {spec!r}") from None
 
 
-def _endpoint_json(v):
-    if v == -math.inf:
-        return "-inf"
-    if v == math.inf:
-        return "inf"
-    return float(v)
+def _endpoint_pair(pair, pointer):
+    _require(
+        isinstance(pair, (list, tuple)) and len(pair) == 2, f"{pointer}: expected [lo, hi]"
+    )
+    lo = decode_endpoint(pair[0], f"{pointer}/0")
+    hi = decode_endpoint(pair[1], f"{pointer}/1")
+    _require(lo < hi, f"{pointer}: needs lo < hi")
+    return [lo, hi]
 
 
-def _coerce_endpoint(value, pointer):
-    if isinstance(value, str):
-        if value == "-inf":
-            return -math.inf
-        if value == "inf":
-            return math.inf
-        raise ConfigError(f"{pointer}: bad endpoint {value!r}")
-    return _real_or_inf(value, pointer)
-
-
-def _real_or_inf(value, pointer):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{pointer}: expected a number, got {value!r}")
-    return float(value)
-
-
+@_config_errors
 def _validate_args(command, args):
     """Per-command validation of command_args, before any computation."""
-    known = {
-        "envelope": {"deltas", "max_cells"},
-        "search": {"deltas", "max_cells"},
-        "leakage": {"interval", "union"},
-        "posterior": {"y_grid"},
-        "verify": {"suite"},
-    }[command]
-    for key in args:
-        _require(key in known, f"/command_args/{key}: unknown field for {command}")
+    check_fields(args, "/command_args", (), _ARG_FIELDS[command])
 
     if command in ("envelope", "search"):
         _require("deltas" in args, "/command_args/deltas: missing (or pass --deltas)")
@@ -250,15 +222,14 @@ def _validate_args(command, args):
             isinstance(deltas, (list, tuple)) and deltas,
             "/command_args/deltas: expected a non-empty list",
         )
-        for i, d in enumerate(deltas):
-            v = _real(d, f"/command_args/deltas/{i}")
+        args["deltas"] = [check_number(d, f"/command_args/deltas/{i}") for i, d in enumerate(deltas)]
+        for i, v in enumerate(args["deltas"]):
             _require(0.0 < v < 1.0, f"/command_args/deltas/{i}: must lie in (0, 1)")
         mc = args.get("max_cells", 4)
         _require(
             isinstance(mc, int) and not isinstance(mc, bool) and 1 <= mc <= 6,
             "/command_args/max_cells: expected an integer in [1, 6]",
         )
-        args["deltas"] = [float(d) for d in deltas]
         args["max_cells"] = mc
     elif command == "leakage":
         has_iv, has_un = "interval" in args, "union" in args
@@ -267,32 +238,14 @@ def _validate_args(command, args):
             "/command_args: leakage needs exactly one of interval or union",
         )
         if has_iv:
-            iv = args["interval"]
-            _require(
-                isinstance(iv, (list, tuple)) and len(iv) == 2,
-                "/command_args/interval: expected [lo, hi]",
-            )
-            lo = _coerce_endpoint(iv[0], "/command_args/interval/0")
-            hi = _coerce_endpoint(iv[1], "/command_args/interval/1")
-            _require(lo < hi, "/command_args/interval: needs lo < hi")
-            args["interval"] = [lo, hi]
+            args["interval"] = _endpoint_pair(args["interval"], "/command_args/interval")
         else:
             un = args["union"]
             _require(
                 isinstance(un, (list, tuple)) and un,
                 "/command_args/union: expected a non-empty list of [lo, hi] pairs",
             )
-            cells = []
-            for i, pair in enumerate(un):
-                _require(
-                    isinstance(pair, (list, tuple)) and len(pair) == 2,
-                    f"/command_args/union/{i}: expected [lo, hi]",
-                )
-                lo = _coerce_endpoint(pair[0], f"/command_args/union/{i}/0")
-                hi = _coerce_endpoint(pair[1], f"/command_args/union/{i}/1")
-                _require(lo < hi, f"/command_args/union/{i}: needs lo < hi")
-                cells.append([lo, hi])
-            args["union"] = cells
+            args["union"] = [_endpoint_pair(p, f"/command_args/union/{i}") for i, p in enumerate(un)]
     elif command == "posterior":
         _require("y_grid" in args, "/command_args/y_grid: missing (or pass --y-grid)")
         ys = args["y_grid"]
@@ -300,7 +253,7 @@ def _validate_args(command, args):
             isinstance(ys, (list, tuple)) and ys,
             "/command_args/y_grid: expected a non-empty list",
         )
-        args["y_grid"] = [_real(y, f"/command_args/y_grid/{i}") for i, y in enumerate(ys)]
+        args["y_grid"] = [check_number(y, f"/command_args/y_grid/{i}") for i, y in enumerate(ys)]
     elif command == "verify":
         suite = args.get("suite", "all")
         _require(isinstance(suite, str) and suite, "/command_args/suite: expected a string")
@@ -335,23 +288,21 @@ def _resolve(ns):
     # config command_args belong to the config's own command; drop them
     # when the subcommand overrides it
     args = dict(rc.command_args) if rc.command in (None, command) else {}
-    if getattr(ns, "deltas", None) is not None:
+    if ns.deltas is not None:
         args["deltas"] = _parse_grid(ns.deltas, "deltas")
-    if getattr(ns, "interval", None) is not None:
+    if ns.interval is not None:
         args.pop("union", None)
         args["interval"] = _parse_interval_flag(ns.interval)
-    if getattr(ns, "y_grid", None) is not None:
+    if ns.y_grid is not None:
         args["y_grid"] = _parse_grid(ns.y_grid, "y-grid")
-    if getattr(ns, "suite", None) is not None:
+    if ns.suite is not None:
         args["suite"] = ns.suite
-    if getattr(ns, "max_cells", None) is not None:
+    if ns.max_cells is not None:
         args["max_cells"] = ns.max_cells
     args = _validate_args(command, args)
 
-    return RunConfig(
-        prior=rc.prior,
-        sigma_n=rc.sigma_n,
-        quadrature=rc.quadrature,
+    return replace(
+        rc,
         command=command,
         command_args=args,
         output_path=ns.out if ns.out is not None else rc.output_path,
@@ -372,19 +323,6 @@ def _fmt(x):
     return f"{x:.10g}"
 
 
-def _csv_text(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def _json_text(records):
-    return json.dumps(records, indent=2) + "\n"
-
-
 def _cell_value(v):
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -395,11 +333,15 @@ def _cell_value(v):
     return str(v)
 
 
-def _render(header, records, fmt):
+def _render(records, fmt):
+    """Records share their keys, in column order: the CSV header."""
     if fmt == "json":
-        return _json_text(records)
-    rows = [[_cell_value(rec[col]) for col in header] for rec in records]
-    return _csv_text(header, rows)
+        return json.dumps(records, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(records[0])
+    writer.writerows([_cell_value(v) for v in rec.values()] for rec in records)
+    return buf.getvalue()
 
 
 # -- command execution -------------------------------------------------------
@@ -416,7 +358,7 @@ def _run_envelope(m, rc):
         }
         for p in points
     ]
-    return _render(("delta", "epsilon_d_nats", "regime", "witness_json"), records, rc.format), True
+    return _render(records, rc.format), True
 
 
 def _run_search(m, rc):
@@ -431,7 +373,7 @@ def _run_search(m, rc):
                 "witness_json": partition_to_json(witness),
             }
         )
-    return _render(("delta", "max_cells", "epsilon_lb_nats", "witness_json"), records, rc.format), True
+    return _render(records, rc.format), True
 
 
 def _run_leakage(m, rc):
@@ -442,7 +384,7 @@ def _run_leakage(m, rc):
     else:
         cells = [Interval(lo, hi) for lo, hi in args["union"]]
         leak = set_leakage_oracle(m, cells)
-    event = [{"lo": _endpoint_json(c.lo), "hi": _endpoint_json(c.hi)} for c in cells]
+    event = [{"lo": encode_endpoint(c.lo), "hi": encode_endpoint(c.hi)} for c in cells]
     records = [
         {
             "event_json": event,
@@ -450,7 +392,7 @@ def _run_leakage(m, rc):
             "leakage_nats": float(leak),
         }
     ]
-    return _render(("event_json", "mass", "leakage_nats"), records, rc.format), True
+    return _render(records, rc.format), True
 
 
 def _run_posterior(m, rc):
@@ -465,7 +407,7 @@ def _run_posterior(m, rc):
         }
         for y, mu, v in zip(ys, means, variances)
     ]
-    return _render(("y", "posterior_mean", "posterior_variance"), records, rc.format), True
+    return _render(records, rc.format), True
 
 
 def _run_verify(m, rc):
@@ -481,8 +423,7 @@ def _run_verify(m, rc):
         }
         for r in results
     ]
-    header = ("name", "passed", "worst_violation", "location", "tolerance", "details")
-    return _render(header, records, rc.format), all(r.passed for r in results)
+    return _render(records, rc.format), all(r.passed for r in results)
 
 
 _RUNNERS = {
@@ -529,8 +470,14 @@ def _build_parser():
         ),
     )
     parser.add_argument("--config", help="JSON run configuration", default=None)
+    parser.set_defaults(
+        deltas=None, interval=None, y_grid=None, suite=None, max_cells=None,
+        seed=None, out=None, format=None,
+    )
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="JSON run configuration", default=None)
+    # SUPPRESS: without it the subcommand's unset --config would overwrite
+    # a --config given before the subcommand
+    shared.add_argument("--config", help="JSON run configuration", default=argparse.SUPPRESS)
     shared.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
     shared.add_argument("--out", default=None, help="output file (default: stdout)")
     shared.add_argument("--format", choices=("csv", "json"), default=None)
@@ -588,9 +535,6 @@ def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     ns = _build_parser().parse_args(_fuse_leading_dash_values(list(argv)))
-    for field in ("deltas", "interval", "y_grid", "suite", "max_cells", "seed", "out", "format"):
-        if not hasattr(ns, field):
-            setattr(ns, field, None)
     try:
         rc = _resolve(ns)
         text, ok = run(rc)

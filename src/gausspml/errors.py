@@ -2,7 +2,12 @@
 
 Public operations never raise bare ValueError/RuntimeError; callers can
 rely on these types to separate bad inputs from numerical breakdowns.
+The checks below validate outside input (JSON, flags, constructor
+arguments); their DomainError names the field by its JSON pointer.
 """
+
+import math
+import numbers
 
 
 class GaussPmlError(Exception):
@@ -34,3 +39,59 @@ class NumericalError(GaussPmlError, RuntimeError):
         super().__init__(message)
         self.operation = operation
         self.last_estimate = last_estimate
+
+
+# -- input checks ------------------------------------------------------------
+
+_INFINITIES = {"-inf": -math.inf, "-Infinity": -math.inf,
+               "inf": math.inf, "+inf": math.inf, "Infinity": math.inf}
+
+
+def check_fields(obj, pointer, required, optional=()):
+    """Return obj after checking it is an object with exactly these fields.
+
+    An unknown field (the first in sorted order) or a missing required
+    field raises DomainError naming it by its JSON pointer.
+    """
+    if not isinstance(obj, dict):
+        raise DomainError(f"{pointer or '/'}: expected an object")
+    unknown = sorted(set(obj) - set(required) - set(optional))
+    if unknown:
+        raise DomainError(f"{pointer}/{unknown[0]}: unknown field")
+    for name in required:
+        if name not in obj:
+            raise DomainError(f"{pointer}/{name}: missing required field")
+    return obj
+
+
+def check_number(value, pointer, positive=False):
+    """A finite real (optionally positive) as float; bools and strings fail."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{pointer}: expected a number, got {value!r}")
+    try:
+        v = float(value)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise DomainError(f"{pointer}: must be finite")
+    if positive and v <= 0.0:
+        raise DomainError(f"{pointer}: must be positive")
+    return v
+
+
+def decode_endpoint(value, pointer):
+    """An interval endpoint: a number, or "-inf"/"inf" in a JSON spelling."""
+    if isinstance(value, str):
+        if value not in _INFINITIES:
+            raise DomainError(f'{pointer}: expected a number, "-inf" or "inf"; got {value!r}')
+        return _INFINITIES[value]
+    if isinstance(value, float) and math.isinf(value):
+        return value
+    return check_number(value, pointer)
+
+
+def encode_endpoint(value):
+    """Inverse of decode_endpoint: the infinities become "-inf"/"inf"."""
+    if math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    return float(value)

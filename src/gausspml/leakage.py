@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .errors import DomainError
+from .errors import DomainError, check_fields, decode_endpoint, encode_endpoint
 from .numerics import golden_section_max
 
 _ORACLE_MIN_POINTS = 4096
@@ -363,41 +363,17 @@ def worst_interval_search(m, rng, delta):
 # -- JSON forms ----------------------------------------------------------
 
 
-def _endpoint_from_json(value, pointer):
-    if isinstance(value, str):
-        if value in ("-inf", "-Infinity"):
-            return -math.inf
-        if value in ("inf", "+inf", "Infinity"):
-            return math.inf
-        raise DomainError(f"{pointer}: expected a number, \"-inf\", or \"inf\"")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DomainError(f"{pointer}: expected a number, \"-inf\", or \"inf\"")
-    return float(value)
-
-
 def partition_from_json(obj, pointer=""):
     """Parse {"cells": [{"lo": ..., "hi": ..., "label": ...}, ...]}."""
-    if not isinstance(obj, dict) or "cells" not in obj:
-        raise DomainError(f"{pointer}/cells: required field missing")
-    unknown = set(obj) - {"cells"}
-    if unknown:
-        raise DomainError(f"{pointer}/{sorted(unknown)[0]}: unknown field")
-    raw = obj["cells"]
+    raw = check_fields(obj, pointer, ("cells",))["cells"]
     if not isinstance(raw, list) or not raw:
         raise DomainError(f"{pointer}/cells: must be a non-empty array")
     cells, labels = [], []
     for i, item in enumerate(raw):
         here = f"{pointer}/cells/{i}"
-        if not isinstance(item, dict):
-            raise DomainError(f"{here}: must be an object")
-        for fld in ("lo", "hi", "label"):
-            if fld not in item:
-                raise DomainError(f"{here}/{fld}: required field missing")
-        unknown = set(item) - {"lo", "hi", "label"}
-        if unknown:
-            raise DomainError(f"{here}/{sorted(unknown)[0]}: unknown field")
-        lo = _endpoint_from_json(item["lo"], f"{here}/lo")
-        hi = _endpoint_from_json(item["hi"], f"{here}/hi")
+        check_fields(item, here, ("lo", "hi", "label"))
+        lo = decode_endpoint(item["lo"], f"{here}/lo")
+        hi = decode_endpoint(item["hi"], f"{here}/hi")
         if not isinstance(item["label"], str):
             raise DomainError(f"{here}/label: must be a string")
         try:
@@ -413,17 +389,9 @@ def partition_from_json(obj, pointer=""):
 
 def partition_to_json(part):
     """Inverse of partition_from_json."""
-
-    def enc(v):
-        if v == -math.inf:
-            return "-inf"
-        if v == math.inf:
-            return "inf"
-        return v
-
     return {
         "cells": [
-            {"lo": enc(c.lo), "hi": enc(c.hi), "label": lab}
+            {"lo": encode_endpoint(c.lo), "hi": encode_endpoint(c.hi), "label": lab}
             for c, lab in zip(part.cells, part.labels)
         ]
     }

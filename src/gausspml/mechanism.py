@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, check_number
 from .numerics import DEFAULT_CONFIG, QuadratureConfig, find_root_increasing
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -166,10 +166,7 @@ class Mechanism:
     y_grid: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.sigma_n, (int, float)) and math.isfinite(self.sigma_n)
-                and self.sigma_n > 0.0):
-            raise DomainError("sigma_n must be finite and positive")
-        sn = float(self.sigma_n)
+        sn = check_number(self.sigma_n, "sigma_n", positive=True)
         object.__setattr__(self, "sigma_n", sn)
 
         x_lo, x_hi = self.prior.support(self.cfg)

@@ -11,12 +11,13 @@ logs; leakage values are nats.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
 
-from .errors import DomainError, NumericalError, PreconditionError
+from .errors import DomainError, NumericalError, PreconditionError, check_number
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 SQRT2 = math.sqrt(2.0)
@@ -41,12 +42,12 @@ class QuadratureConfig:
     abs_tol: float = 1e-10
 
     def __post_init__(self):
-        if not (math.isfinite(self.truncation_halfwidth) and self.truncation_halfwidth >= 8.0):
-            raise DomainError("truncation_halfwidth must be finite and >= 8")
-        if self.panel_count < 256:
-            raise DomainError("panel_count must be >= 256")
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
-            raise DomainError("abs_tol must be positive")
+        if check_number(self.truncation_halfwidth, "truncation_halfwidth") < 8.0:
+            raise DomainError("truncation_halfwidth must be >= 8")
+        n = self.panel_count
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 256:
+            raise DomainError("panel_count must be an integer >= 256")
+        check_number(self.abs_tol, "abs_tol", positive=True)
 
 
 DEFAULT_CONFIG = QuadratureConfig()

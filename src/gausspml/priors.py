@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ModelError
+from .errors import DomainError, ModelError, check_fields, check_number
 from .numerics import DEFAULT_CONFIG, integrate, std_normal_pdf
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -322,6 +322,15 @@ def check_strong_log_concavity(prior, beta_claim, grid):
     )
 
 
+# JSON type -> (class, number fields, array-of-number fields)
+_PRIOR_TYPES = {
+    "gaussian": (GaussianPrior, ("sigma_x",), ()),
+    "slc": (StronglyLogConcavePrior, ("beta", "c", "p"), ()),
+    "mixture": (GaussianMixturePrior, (), ("weights", "means", "sigmas")),
+    "grid": (GridPrior, (), ("xs", "log_density")),
+}
+
+
 def prior_from_json(obj, pointer=""):
     """Build a prior from its JSON object form.
 
@@ -330,36 +339,19 @@ def prior_from_json(obj, pointer=""):
     """
     if not isinstance(obj, dict):
         raise DomainError(f"{pointer or '/'}: prior must be an object")
-
-    def _take(fields):
-        unknown = set(obj) - set(fields) - {"type"}
-        if unknown:
-            raise DomainError(f"{pointer}/{sorted(unknown)[0]}: unknown field")
-        missing = [f for f in fields if f not in obj]
-        if missing:
-            raise DomainError(f"{pointer}/{missing[0]}: required field missing")
-        return [obj[f] for f in fields]
-
-    def _build(ctor, **kwargs):
-        try:
-            return ctor(**kwargs)
-        except DomainError as exc:
-            msg = f"{pointer}: {exc}" if pointer else str(exc)
-            raise DomainError(msg) from exc
-
     kind = obj.get("type")
-    if kind == "gaussian":
-        (sigma_x,) = _take(["sigma_x"])
-        return _build(GaussianPrior, sigma_x=float(sigma_x))
-    if kind == "slc":
-        beta, c, p = _take(["beta", "c", "p"])
-        return _build(StronglyLogConcavePrior, beta=float(beta), c=float(c), p=float(p))
-    if kind == "mixture":
-        weights, means, sigmas = _take(["weights", "means", "sigmas"])
-        return _build(GaussianMixturePrior, weights=weights, means=means, sigmas=sigmas)
-    if kind == "grid":
-        xs, log_density = _take(["xs", "log_density"])
-        return _build(GridPrior, xs=xs, log_density=log_density)
-    raise DomainError(
-        f"{pointer}/type: must be one of gaussian|slc|mixture|grid, got {kind!r}"
-    )
+    if not isinstance(kind, str) or kind not in _PRIOR_TYPES:
+        raise DomainError(
+            f"{pointer}/type: must be one of {'|'.join(_PRIOR_TYPES)}, got {kind!r}"
+        )
+    cls, scalars, arrays = _PRIOR_TYPES[kind]
+    check_fields(obj, pointer, ("type",) + scalars + arrays)
+    params = {f: check_number(obj[f], f"{pointer}/{f}") for f in scalars}
+    for f in arrays:
+        if not isinstance(obj[f], (list, tuple)):
+            raise DomainError(f"{pointer}/{f}: expected an array of numbers")
+        params[f] = [check_number(v, f"{pointer}/{f}/{i}") for i, v in enumerate(obj[f])]
+    try:
+        return cls(**params)
+    except DomainError as exc:
+        raise DomainError(f"{pointer}: {exc}" if pointer else str(exc)) from exc

@@ -7,11 +7,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gausspml.cli import (
     ConfigError,
     _fuse_leading_dash_values,
     _parse_grid,
+    _validate_args,
     main,
     parse_config,
 )
@@ -226,6 +229,7 @@ class TestConfigFile:
             ({"seed": 1.5}, "/seed"),
             ({"command": "plot"}, "/command"),
             ({"unknown_key": 1}, "/unknown_key"),
+            ({"quadrature": {"panel_count": 3000.0}}, "/quadrature"),
         ],
     )
     def test_schema_violations_name_the_field(self, tmp_path, patch, fragment):
@@ -290,6 +294,22 @@ class TestExitCodes:
         code, _, err = _run(capsys, "--config", str(cfg))
         assert code == 2
         assert "command" in err
+
+    def test_non_numeric_prior_parameter_is_two(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "prior": {"type": "gaussian", "sigma_x": "abc"},
+                    "sigma_n": 1.0,
+                    "command": "posterior",
+                    "command_args": {"y_grid": [0.0]},
+                }
+            )
+        )
+        code, _, err = _run(capsys, "--config", str(cfg))
+        assert code == 2
+        assert "/prior/sigma_x" in err
 
     def test_bad_command_args_are_two(self, capsys):
         code, _, err = _run(capsys, "envelope", "--deltas", "0.0,0.1")
@@ -389,3 +409,139 @@ class TestFlagOverrides:
         assert "seed 2" in out_cfg_seed  # check seeds derive from the run seed
         assert "seed 100" in out_flag_seed
         assert out_cfg_seed != out_flag_seed
+
+    def test_config_before_or_after_subcommand(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "prior": {"type": "gaussian", "sigma_x": 2.0},
+                    "sigma_n": 1.0,
+                    "command": "posterior",
+                    "command_args": {"y_grid": [1.0]},
+                }
+            )
+        )
+        _, before, _ = _run(capsys, "--config", str(cfg), "posterior", "--y-grid", "1")
+        _, after, _ = _run(capsys, "posterior", "--config", str(cfg), "--y-grid", "1")
+        _, alone, _ = _run(capsys, "--config", str(cfg))
+        assert before == after == alone
+        row = _rows(alone)[0]
+        assert float(row["posterior_mean"]) == pytest.approx(0.8, abs=1e-10)
+        assert float(row["posterior_variance"]) == pytest.approx(0.8, abs=1e-9)
+
+    @pytest.mark.parametrize("hi", ["Infinity", "+inf", "inf"])
+    def test_endpoint_spellings_agree(self, capsys, tmp_path, hi):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "prior": {"type": "gaussian", "sigma_x": 1.0},
+                    "sigma_n": 1.0,
+                    "command": "leakage",
+                    "command_args": {"interval": [1, hi]},
+                }
+            )
+        )
+        code, from_config, _ = _run(capsys, "--config", str(cfg))
+        _, from_flag, _ = _run(capsys, "leakage", "--interval", "1,Infinity")
+        assert code == 0
+        assert from_config == from_flag
+
+
+# One valid config per command; the property test below breaks one node.
+_VALID_CONFIGS = [
+    {
+        "prior": {"type": "gaussian", "sigma_x": 1.0},
+        "sigma_n": 1.0,
+        "quadrature": {"truncation_halfwidth": 10.0, "panel_count": 2048, "abs_tol": 1e-10},
+        "command": "envelope",
+        "command_args": {"deltas": [0.1, 0.2], "max_cells": 2},
+        "format": "csv",
+        "seed": 0,
+    },
+    {
+        "mechanism": {
+            "prior": {"type": "slc", "beta": 1.0, "c": 1.0, "p": 4.0},
+            "sigma_n": 0.5,
+            "quadrature": {"panel_count": 4096},
+        },
+        "command": "search",
+        "command_args": {"deltas": [0.1], "max_cells": 1},
+        "output_path": "out.csv",
+    },
+    {
+        "prior": {"type": "mixture", "weights": [0.5, 0.5], "means": [-2, 2], "sigmas": [1, 1]},
+        "sigma_n": 1.0,
+        "command": "leakage",
+        "command_args": {"union": [["-inf", -1.0], [1.0, "inf"]]},
+    },
+    {
+        "prior": {"type": "gaussian", "sigma_x": 1.0},
+        "sigma_n": 1.0,
+        "command": "leakage",
+        "command_args": {"interval": [-0.5, "Infinity"]},
+    },
+    {
+        "mechanism": {
+            "prior": {"type": "grid", "xs": [0.0, 1.0, 2.0], "log_density": [0.0, -1.0, -2.0]},
+            "sigma_n": 1.0,
+        },
+        "command": "posterior",
+        "command_args": {"y_grid": [0.0, 1.0]},
+        "format": "json",
+    },
+    {
+        "prior": {"type": "gaussian", "sigma_x": 1.0},
+        "sigma_n": 1.0,
+        "command": "verify",
+        "command_args": {"suite": "concavity_identity"},
+        "seed": 3,
+    },
+]
+
+
+def _paths(node, here=()):
+    """Paths to every node below the root of a JSON value."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield here + (key,)
+        yield from _paths(child, here + (key,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["inf", "-inf", "Infinity", "all", "gaussian", "json", "posterior", 10**400]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestMalformedConfig:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_only_config_errors(self, tmp_path_factory, data):
+        cfg = json.loads(json.dumps(data.draw(st.sampled_from(_VALID_CONFIGS))))
+        path = data.draw(st.sampled_from(list(_paths(cfg))))
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(_JSON_VALUES)
+        cfg_file = tmp_path_factory.getbasetemp() / "malformed.json"
+        cfg_file.write_text(json.dumps(cfg))
+        try:
+            rc = parse_config(str(cfg_file))
+            if rc.command is not None:
+                _validate_args(rc.command, dict(rc.command_args))
+        except ConfigError:
+            pass

@@ -336,6 +336,13 @@ class TestPartitionJson:
         assert obj["cells"][-1]["hi"] == "inf"
 
     @pytest.mark.parametrize(
+        "lo, hi", [("-inf", "inf"), ("-Infinity", "+inf"), (-INF, "Infinity")]
+    )
+    def test_infinity_spellings(self, lo, hi):
+        obj = {"cells": [{"lo": lo, "hi": hi, "label": "a"}]}
+        assert partition_from_json(obj) == FinitePartition((Interval(-INF, INF),), ("a",))
+
+    @pytest.mark.parametrize(
         "obj, fragment",
         [
             ({}, "/cells"),

@@ -177,6 +177,9 @@ class TestQuadratureConfig:
             {"panel_count": 128},
             {"abs_tol": 0.0},
             {"abs_tol": -1e-9},
+            {"panel_count": 3000.0},
+            {"panel_count": True},
+            {"abs_tol": "1e-10"},
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -221,6 +221,13 @@ class TestPriorFromJson:
             ({"type": "gaussian", "sigma_x": 1.0, "mu": 0.0}, "/mu"),
             ({"type": "mixture", "weights": [1.0], "means": [0.0]}, "/sigmas"),
             ([1, 2], "prior must be an object"),
+            ({"type": "gaussian", "sigma_x": "abc"}, "/prior/sigma_x"),
+            ({"type": "gaussian", "sigma_x": None}, "/prior/sigma_x"),
+            ({"type": "gaussian", "sigma_x": "2"}, "/prior/sigma_x"),
+            ({"type": "gaussian", "sigma_x": 10**400}, "/prior/sigma_x"),
+            ({"type": "slc", "beta": 1.0, "c": [1], "p": 2.0}, "/prior/c"),
+            ({"type": "mixture", "weights": ["1"], "means": [0], "sigmas": [1]}, "/prior/weights"),
+            ({"type": "grid", "xs": "01", "log_density": [0, 0]}, "/prior/xs"),
         ],
     )
     def test_pointer_in_errors(self, obj, fragment):
