@@ -44,7 +44,6 @@ from .priors import (
     LogConcavityReport,
     StronglyLogConcavePrior,
     check_strong_log_concavity,
-    density_at,
     normalization_constant,
     prior_from_json,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "check_tail_worst_bound",
     "condition_report",
     "delta0_estimate",
-    "density_at",
     "envelope_bruteforce_lower_bound",
     "envelope_curve",
     "envelope_point",

@@ -17,7 +17,6 @@ import csv
 import functools
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -51,6 +50,7 @@ from .verify import _SUITE, run_suite
 _COMMANDS = ("envelope", "leakage", "posterior", "verify", "search")
 _RUN_FIELDS = ("command", "command_args", "output_path", "format", "seed")
 _QUADRATURE_FIELDS = ("truncation_halfwidth", "panel_count", "abs_tol")
+_MAX_GRID_POINTS = 10**6  # a lo:hi:step grid is counted before it is built
 _ARG_FIELDS = {
     "envelope": ("deltas", "max_cells"),
     "search": ("deltas", "max_cells"),
@@ -181,8 +181,9 @@ def _parse_grid(spec, name):
             raise ConfigError(f"--{name}: non-numeric component in {spec!r}") from None
         _require(step > 0.0, f"--{name}: step must be positive")
         _require(hi >= lo, f"--{name}: needs hi >= lo")
-        n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-        return [lo + k * step for k in range(n)]
+        steps = (hi - lo) / step + 1e-9  # NaN or inf fails the cap too
+        _require(steps < _MAX_GRID_POINTS, f"--{name}: more than {_MAX_GRID_POINTS} points")
+        return [lo + k * step for k in range(int(steps) + 1)]
     try:
         values = [float(p) for p in spec.split(",") if p.strip()]
     except ValueError:

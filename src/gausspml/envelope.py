@@ -22,7 +22,7 @@ from .leakage import (
     tail_thresholds,
 )
 from .numerics import golden_section_max
-from .priors import GaussianPrior, check_strong_log_concavity
+from .priors import check_strong_log_concavity
 
 _UNITS = 32  # simplex resolution: bad mass is allocated in units of delta/32
 _MASS_FLOOR = 1e-12
@@ -89,10 +89,6 @@ def condition_report(m):
     beta_eff = (
         1.0 / math.sqrt(slc.min_theta_second) if slc.min_theta_second > 0.0 else None
     )
-    if isinstance(m.prior, GaussianPrior):
-        ratio_ok = m.prior.sigma_x**2 <= 3.0 * m.sigma_n**2
-    else:
-        ratio_ok = None
     return ConditionReport(
         sup_posterior_variance=sup_var,
         variance_threshold=threshold,
@@ -100,7 +96,7 @@ def condition_report(m):
         slc_ok=bool(slc.holds),
         beta_effective=beta_eff,
         tail_unimodal_M=m.unimodal_tail_threshold(),
-        gaussian_ratio_ok=ratio_ok,
+        gaussian_ratio_ok=m.prior.gaussian_ratio_ok(m.sigma_n),
     )
 
 
@@ -378,12 +374,11 @@ def _closed_form_test(m, report):
 
     delta0_estimate runs only once every other hypothesis holds.
     """
-    if isinstance(m.prior, GaussianPrior):
-        ratio_ok = bool(report.gaussian_ratio_ok)
-        return lambda delta: ratio_ok and delta < 0.5
+    if report.gaussian_ratio_ok is not None:
+        return lambda delta: report.gaussian_ratio_ok and delta < 0.5
     if not (
         report.variance_ok
-        and getattr(m.prior, "is_full_support", False)
+        and m.prior.is_full_support
         and abs(m._x_mean) <= 1e-8
         and report.tail_unimodal_M is not None
     ):

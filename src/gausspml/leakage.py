@@ -74,10 +74,6 @@ class Interval:
     def has_tail(self):
         return math.isinf(self.lo) or math.isinf(self.hi)
 
-    @property
-    def length(self):
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True)
 class FinitePartition:
@@ -304,6 +300,16 @@ def tail_thresholds(m, delta_left, delta_right):
     return (m.marginal_quantile(delta_left), m.marginal_quantile(1.0 - delta_right))
 
 
+def _mass_end_table(m, u, delta):
+    """F_Y^{-1}(F_Y(u) + delta) read off the cached CDF table, for an array u."""
+    return np.interp(np.interp(u, m.y_grid, m._Fy_grid) + delta, m._Fy_grid, m.y_grid)
+
+
+def _mass_end(m, u, delta):
+    """F_Y^{-1}(F_Y(u) + delta) by exact quantile, the level capped below 1."""
+    return m.marginal_quantile(min(m.marginal_cdf(u) + delta, 1.0 - 1e-15))
+
+
 def worst_interval_search(m, rng, delta):
     """Longest (equivalently, leakiest) interval of mass delta inside rng.
 
@@ -332,19 +338,13 @@ def worst_interval_search(m, rng, delta):
     u_max = m.marginal_quantile(f_hi - delta)
     u_max = min(max(u_max, rng.lo), rng.hi)
 
-    grid_y, grid_F = m.y_grid, m._Fy_grid
-
-    def v_of_u_fast(u):
-        return np.interp(np.interp(u, grid_y, grid_F) + delta, grid_F, grid_y)
-
     n_coarse = 10_000 if m.unimodal_tail_threshold() is None else 512
     us = np.linspace(rng.lo, u_max, n_coarse)
-    lengths = v_of_u_fast(us) - us
+    lengths = _mass_end_table(m, us, delta) - us
     k = int(np.argmax(lengths))
 
     def length_exact(u):
-        v = m.marginal_quantile(min(m.marginal_cdf(u) + delta, 1.0 - 1e-15))
-        return v - u
+        return _mass_end(m, u, delta) - u
 
     lo_b = float(us[max(k - 1, 0)])
     hi_b = float(us[min(k + 1, n_coarse - 1)])

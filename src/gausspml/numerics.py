@@ -1,11 +1,11 @@
 """Special functions, quadrature, root finding and maximization.
 
 Everything downstream is built on the operations here: the standard
-normal CDF, density and quantile, adaptive Simpson integration, the
-package's one root finder (safeguarded Newton with a bisection
-fallback, written here so that no scipy.optimize import is paid), and
-golden-section maximization. All logarithms in this package are natural
-logs; leakage values are nats.
+normal CDF and density, adaptive Simpson integration, the package's one
+root finder (safeguarded Newton with a bisection fallback, written here
+so that no scipy.optimize import is paid), and golden-section
+maximization. All logarithms in this package are natural logs; leakage
+values are nats.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from scipy import special as _sp
 from .errors import DomainError, NumericalError, PreconditionError, check_number
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-SQRT2 = math.sqrt(2.0)
 
 # Doublings tried by integrate() before giving up; 2048 panels * 2^8 is
 # already ~half a million nodes, far past any integrand used here.
@@ -82,14 +81,6 @@ def std_normal_pdf(x):
     if not np.all(np.isfinite(arr)):
         raise DomainError("x must be finite")
     return np.exp(-0.5 * arr * arr - _LOG_SQRT_2PI)
-
-
-def std_normal_quantile(p):
-    """Inverse standard normal CDF; p must lie strictly inside (0,1)."""
-    p = float(p)
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"p must lie in (0,1), got {p!r}")
-    return float(_sp.ndtri(p))
 
 
 def _simpson(f, a, b, n):

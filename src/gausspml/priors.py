@@ -3,7 +3,8 @@
 Four families: Gaussian, a strongly log-concave composite
 theta(x) = x^2/(2 beta^2) + c|x|^p/p, Gaussian mixtures (deliberately
 allowed to violate log-concavity), and tabulated grid densities with a
-declared, bounded support window.
+declared, bounded support window. Each family declares which hypotheses
+of the envelope theorems it meets; callers ask the prior, not its type.
 """
 
 from __future__ import annotations
@@ -20,32 +21,67 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _as_float_tuple(values, name):
-    try:
-        out = tuple(float(v) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be a sequence of numbers") from exc
+    """A non-empty array of finite reals as floats; string or bool entries fail."""
+    if not np.iterable(values):
+        raise DomainError(f"{name}: expected an array of numbers")
+    out = tuple(check_number(v, f"{name}/{i}") for i, v in enumerate(values))
     if not out:
-        raise DomainError(f"{name} must be non-empty")
-    if not all(math.isfinite(v) for v in out):
-        raise DomainError(f"{name} must contain only finite values")
+        raise DomainError(f"{name}: must be non-empty")
     return out
 
 
 @dataclass(frozen=True)
-class GaussianPrior:
+class _Prior:
+    """What the families share, and the hypotheses each one declares.
+
+    is_full_support: the density is positive on the whole line, as the
+    general envelope theorem needs. curvature_floor(): a declared lower
+    bound on theta'' (beta-strong log-concavity gives 1/beta^2), or None.
+    gaussian_ratio_ok(sigma_n): whether the Gaussian theorem's
+    sigma_x^2 <= 3 sigma_n^2 holds, or None off the Gaussian family.
+    Constructor errors read "field: problem", relative to the prior.
+    """
+
+    _z_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    is_full_support = True
+
+    def _coerce(self, check, *names):
+        for name in names:
+            object.__setattr__(self, name, check(getattr(self, name), name))
+
+    def log_z(self, cfg=DEFAULT_CONFIG):
+        if cfg not in self._z_cache:
+            self._z_cache[cfg] = math.log(self.normalization_constant(cfg))
+        return self._z_cache[cfg]
+
+    def density(self, x):
+        return np.exp(self.log_pdf(x))
+
+    def curvature_floor(self):
+        return None
+
+    def gaussian_ratio_ok(self, sigma_n):
+        return None
+
+
+@dataclass(frozen=True)
+class GaussianPrior(_Prior):
     """Zero-mean Gaussian secret with standard deviation sigma_x."""
 
     sigma_x: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma_x) and self.sigma_x > 0.0):
-            raise DomainError("sigma_x must be finite and positive")
-
-    is_full_support = True
+        self._coerce(check_number, "sigma_x")
+        if self.sigma_x <= 0.0:
+            raise DomainError("sigma_x: must be positive")
 
     def support(self, cfg=DEFAULT_CONFIG):
         w = cfg.truncation_halfwidth * self.sigma_x
         return (-w, w)
+
+    def normalization_constant(self, cfg=DEFAULT_CONFIG):
+        return self.sigma_x * math.sqrt(2.0 * math.pi)
 
     def log_z(self, cfg=DEFAULT_CONFIG):
         return math.log(self.sigma_x) + _LOG_SQRT_2PI
@@ -54,18 +90,18 @@ class GaussianPrior:
         x = np.asarray(x, dtype=float)
         return -0.5 * (x / self.sigma_x) ** 2 - self.log_z()
 
-    def density(self, x):
-        return np.exp(self.log_pdf(x))
-
     def theta_second(self, x):
         return np.full_like(np.asarray(x, dtype=float), 1.0 / self.sigma_x**2)
 
-    def mean(self, cfg=DEFAULT_CONFIG):
-        return 0.0
+    def curvature_floor(self):
+        return 1.0 / self.sigma_x**2
+
+    def gaussian_ratio_ok(self, sigma_n):
+        return self.sigma_x**2 <= 3.0 * sigma_n**2
 
 
 @dataclass(frozen=True)
-class StronglyLogConcavePrior:
+class StronglyLogConcavePrior(_Prior):
     """Density exp(-theta)/Z with theta(x) = x^2/(2 beta^2) + c|x|^p/p.
 
     beta-strongly log-concave by construction: theta''(x) = 1/beta^2 +
@@ -77,17 +113,15 @@ class StronglyLogConcavePrior:
     beta: float
     c: float
     p: float
-    _z_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
-            raise DomainError("beta must be finite and positive")
-        if not (math.isfinite(self.c) and self.c >= 0.0):
-            raise DomainError("c must be finite and nonnegative")
-        if not (math.isfinite(self.p) and self.p >= 1.0):
-            raise DomainError("p must be finite and >= 1")
-
-    is_full_support = True
+        self._coerce(check_number, "beta", "c", "p")
+        if self.beta <= 0.0:
+            raise DomainError("beta: must be positive")
+        if self.c < 0.0:
+            raise DomainError("c: must be nonnegative")
+        if self.p < 1.0:
+            raise DomainError("p: must be >= 1")
 
     def support(self, cfg=DEFAULT_CONFIG):
         # the Gaussian factor alone already confines the mass to +-w*beta
@@ -101,16 +135,18 @@ class StronglyLogConcavePrior:
             out = out + self.c * np.abs(x) ** self.p / self.p
         return out
 
-    def log_z(self, cfg=DEFAULT_CONFIG):
-        if cfg not in self._z_cache:
-            self._z_cache[cfg] = math.log(normalization_constant(self, cfg))
-        return self._z_cache[cfg]
+    def normalization_constant(self, cfg=DEFAULT_CONFIG):
+        """Quadrature; ModelError when the density has not decayed at the edge."""
+        lo, hi = self.support(cfg)
+        unnorm = lambda x: np.exp(-self._theta_unnorm(x))
+        edge = max(float(unnorm(lo)), float(unnorm(hi)))
+        peak = float(unnorm(0.0))
+        if edge > 1e-10 * peak:
+            raise ModelError("density does not decay at the truncation boundary")
+        return integrate(unnorm, lo, hi, cfg)
 
     def log_pdf(self, x):
         return -self._theta_unnorm(x) - self.log_z()
-
-    def density(self, x):
-        return np.exp(self.log_pdf(x))
 
     def theta_second(self, x):
         x = np.asarray(x, dtype=float)
@@ -120,12 +156,12 @@ class StronglyLogConcavePrior:
                 out = out + self.c * (self.p - 1.0) * np.abs(x) ** (self.p - 2.0)
         return out
 
-    def mean(self, cfg=DEFAULT_CONFIG):
-        return 0.0  # theta is even
+    def curvature_floor(self):
+        return 1.0 / self.beta**2
 
 
 @dataclass(frozen=True)
-class GaussianMixturePrior:
+class GaussianMixturePrior(_Prior):
     """Finite Gaussian mixture; included to exercise non-log-concave paths."""
 
     weights: tuple
@@ -133,20 +169,16 @@ class GaussianMixturePrior:
     sigmas: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _as_float_tuple(self.weights, "weights"))
-        object.__setattr__(self, "means", _as_float_tuple(self.means, "means"))
-        object.__setattr__(self, "sigmas", _as_float_tuple(self.sigmas, "sigmas"))
+        self._coerce(_as_float_tuple, "weights", "means", "sigmas")
         k = len(self.weights)
         if len(self.means) != k or len(self.sigmas) != k:
-            raise DomainError("weights, means, sigmas must have equal length")
+            raise DomainError("weights: means and sigmas must have the same length")
         if any(w <= 0.0 for w in self.weights):
-            raise DomainError("weights must be positive")
+            raise DomainError("weights: must be positive")
         if abs(sum(self.weights) - 1.0) > 1e-9:
-            raise DomainError(f"weights must sum to 1, got {sum(self.weights)!r}")
+            raise DomainError(f"weights: must sum to 1, got {sum(self.weights)!r}")
         if any(s <= 0.0 for s in self.sigmas):
-            raise DomainError("sigmas must be positive")
-
-    is_full_support = True
+            raise DomainError("sigmas: must be positive")
 
     def support(self, cfg=DEFAULT_CONFIG):
         w = cfg.truncation_halfwidth
@@ -154,8 +186,8 @@ class GaussianMixturePrior:
         hi = max(m + w * s for m, s in zip(self.means, self.sigmas))
         return (lo, hi)
 
-    def log_z(self, cfg=DEFAULT_CONFIG):
-        return 0.0  # components are individually normalized
+    def normalization_constant(self, cfg=DEFAULT_CONFIG):
+        return 1.0  # components are individually normalized
 
     def _components(self, x):
         x = np.asarray(x, dtype=float)
@@ -184,35 +216,29 @@ class GaussianMixturePrior:
         )
         return (f1 * f1 - f2 * f) / (f * f)
 
-    def mean(self, cfg=DEFAULT_CONFIG):
-        return sum(w * m for w, m in zip(self.weights, self.means))
-
 
 @dataclass(frozen=True)
-class GridPrior:
+class GridPrior(_Prior):
     """Log-density tabulated on an increasing grid; bounded support.
 
     The density is exp of the linear interpolant of log_density inside
     [xs[0], xs[-1]] and undefined outside: this variant approximates a
-    distribution only on its declared window and is flagged accordingly.
+    distribution only on its declared window, so it is not full-support.
     """
 
     xs: tuple
     log_density: tuple
-    _z_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "xs", _as_float_tuple(self.xs, "xs"))
-        object.__setattr__(self, "log_density", _as_float_tuple(self.log_density, "log_density"))
+        self._coerce(_as_float_tuple, "xs", "log_density")
         if len(self.xs) != len(self.log_density):
-            raise DomainError("xs and log_density must have equal length")
+            raise DomainError("log_density: must have the length of xs")
         if len(self.xs) < 2:
-            raise DomainError("xs must contain at least 2 points")
+            raise DomainError("xs: must contain at least 2 points")
         if not np.all(np.diff(self.xs) > 0.0):
-            raise DomainError("xs must be strictly increasing")
+            raise DomainError("xs: must be strictly increasing")
 
     is_full_support = False
-    is_approximate = True
 
     def support(self, cfg=DEFAULT_CONFIG):
         return (self.xs[0], self.xs[-1])
@@ -225,10 +251,9 @@ class GridPrior:
             )
         return arr
 
-    def log_z(self, cfg=DEFAULT_CONFIG):
-        if cfg not in self._z_cache:
-            self._z_cache[cfg] = math.log(normalization_constant(self, cfg))
-        return self._z_cache[cfg]
+    def normalization_constant(self, cfg=DEFAULT_CONFIG):
+        lo, hi = self.support(cfg)
+        return integrate(lambda x: np.exp(self._log_pdf_unnorm(x)), lo, hi, cfg)
 
     def _log_pdf_unnorm(self, x):
         arr = self._check_window(x)
@@ -236,9 +261,6 @@ class GridPrior:
 
     def log_pdf(self, x):
         return self._log_pdf_unnorm(x) - self.log_z()
-
-    def density(self, x):
-        return np.exp(self.log_pdf(x))
 
     def theta_second(self, x):
         # central finite differences on -log f; step balances truncation vs
@@ -251,45 +273,10 @@ class GridPrior:
         t = lambda v: -self._log_pdf_unnorm(v)
         return (t(xc + h) - 2.0 * t(xc) + t(xc - h)) / (h * h)
 
-    def mean(self, cfg=DEFAULT_CONFIG):
-        z = math.exp(self.log_z(cfg))
-        val = integrate(
-            lambda x: x * np.exp(self._log_pdf_unnorm(x)), self.xs[0], self.xs[-1], cfg
-        )
-        return val / z
-
-
-def density_at(prior, x):
-    """Normalized density of the prior at x (scalar in, scalar out)."""
-    val = prior.density(x)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(val)
-    return val
-
 
 def normalization_constant(prior, cfg=DEFAULT_CONFIG):
-    """Z = integral of the unnormalized density over the support window.
-
-    Closed forms are used where they exist; quadrature variants are
-    checked for decay at the truncation boundary, and a fat boundary
-    raises ModelError (the declared window cannot hold the mass).
-    """
-    if isinstance(prior, GaussianPrior):
-        return prior.sigma_x * math.sqrt(2.0 * math.pi)
-    if isinstance(prior, GaussianMixturePrior):
-        return 1.0
-    if isinstance(prior, StronglyLogConcavePrior):
-        lo, hi = prior.support(cfg)
-        unnorm = lambda x: np.exp(-prior._theta_unnorm(x))
-        edge = max(float(unnorm(lo)), float(unnorm(hi)))
-        peak = float(unnorm(0.0))
-        if edge > 1e-10 * peak:
-            raise ModelError("density does not decay at the truncation boundary")
-        return integrate(unnorm, lo, hi, cfg)
-    if isinstance(prior, GridPrior):
-        lo, hi = prior.support(cfg)
-        return integrate(lambda x: np.exp(prior._log_pdf_unnorm(x)), lo, hi, cfg)
-    raise DomainError(f"unsupported prior type {type(prior).__name__}")
+    """Z, the prior's unnormalized mass over its support window."""
+    return prior.normalization_constant(cfg)
 
 
 @dataclass(frozen=True)
@@ -322,12 +309,12 @@ def check_strong_log_concavity(prior, beta_claim, grid):
     )
 
 
-# JSON type -> (class, number fields, array-of-number fields)
+# JSON type -> (class, parameter fields)
 _PRIOR_TYPES = {
-    "gaussian": (GaussianPrior, ("sigma_x",), ()),
-    "slc": (StronglyLogConcavePrior, ("beta", "c", "p"), ()),
-    "mixture": (GaussianMixturePrior, (), ("weights", "means", "sigmas")),
-    "grid": (GridPrior, (), ("xs", "log_density")),
+    "gaussian": (GaussianPrior, ("sigma_x",)),
+    "slc": (StronglyLogConcavePrior, ("beta", "c", "p")),
+    "mixture": (GaussianMixturePrior, ("weights", "means", "sigmas")),
+    "grid": (GridPrior, ("xs", "log_density")),
 }
 
 
@@ -344,14 +331,9 @@ def prior_from_json(obj, pointer=""):
         raise DomainError(
             f"{pointer}/type: must be one of {'|'.join(_PRIOR_TYPES)}, got {kind!r}"
         )
-    cls, scalars, arrays = _PRIOR_TYPES[kind]
-    check_fields(obj, pointer, ("type",) + scalars + arrays)
-    params = {f: check_number(obj[f], f"{pointer}/{f}") for f in scalars}
-    for f in arrays:
-        if not isinstance(obj[f], (list, tuple)):
-            raise DomainError(f"{pointer}/{f}: expected an array of numbers")
-        params[f] = [check_number(v, f"{pointer}/{f}/{i}") for i, v in enumerate(obj[f])]
+    cls, fields = _PRIOR_TYPES[kind]
+    check_fields(obj, pointer, ("type",) + fields)
     try:
-        return cls(**params)
+        return cls(**{f: obj[f] for f in fields})
     except DomainError as exc:
-        raise DomainError(f"{pointer}: {exc}" if pointer else str(exc)) from exc
+        raise DomainError(f"{pointer}/{exc}") from exc

@@ -20,12 +20,13 @@ from .leakage import (
     _bounded_numerator,
     _cell_mass,
     _kernel_prob,
+    _mass_end,
+    _mass_end_table,
     _phi_diff,
     interval_leakage,
     set_leakage_oracle,
 )
 from .numerics import golden_section_max
-from .priors import GaussianPrior, StronglyLogConcavePrior
 
 
 @dataclass(frozen=True)
@@ -91,18 +92,27 @@ def _union_sampler(m, window=None, max_intervals=4):
                 return cells
         raise NumericalError(
             f"could not draw a random union of mass {target!r} in 200 attempts",
-            operation="_random_union",
+            operation="_union_sampler",
         )
 
     return draw
 
 
-def _random_union(m, rng, target, window=None, max_intervals=4):
-    """One draw of _union_sampler(m, window, max_intervals)."""
-    return _union_sampler(m, window, max_intervals)(rng, target)
-
-
 # -- checks ----------------------------------------------------------------
+
+
+def _monotone_from(m):
+    """(a0, message): interval leakage is claimed increasing for a > a0.
+
+    a0 is 0 for a Gaussian prior with sigma_x^2 <= 3 sigma_n^2, else the
+    unimodal tail threshold M; raises DomainError when M is unknown.
+    """
+    if m.prior.gaussian_ratio_ok(m.sigma_n):
+        return 0.0, "a must be positive for the Gaussian in-regime check"
+    M = m.unimodal_tail_threshold()
+    if M is None:
+        raise DomainError("unimodal tail threshold unknown; check not applicable")
+    return M, f"a must exceed the unimodal tail threshold {M!r}"
 
 
 def check_concavity_identity(m, n_samples, seed=0):
@@ -157,15 +167,9 @@ def check_interval_monotonicity(m, a, b_max, n_grid):
     a, b_max = float(a), float(b_max)
     if not b_max > a:
         raise DomainError("requires b_max > a")
-    if isinstance(m.prior, GaussianPrior) and m.prior.sigma_x**2 <= 3.0 * m.sigma_n**2:
-        if a <= 0.0:
-            raise DomainError("a must be positive for the Gaussian in-regime check")
-    else:
-        M = m.unimodal_tail_threshold()
-        if M is None:
-            raise DomainError("unimodal tail threshold unknown; check not applicable")
-        if a <= M:
-            raise DomainError(f"a must exceed the unimodal tail threshold {M!r}")
+    a0, message = _monotone_from(m)
+    if a <= a0:
+        raise DomainError(message)
 
     sn = m.sigma_n
     bs = np.linspace(a + (b_max - a) / n_grid, b_max, n_grid)
@@ -242,15 +246,14 @@ def _superlevel_interval(m, x, rng_iv, delta):
     if not 0.0 < delta < f_b - f_a:
         raise DomainError(f"delta must lie strictly between 0 and P_Y(range)={f_b - f_a!r}")
     u_hi = m.marginal_quantile(f_b - delta)
-    grid_y, grid_f = m.y_grid, m._Fy_grid
     us = np.linspace(a, u_hi, 512)
-    vs = np.interp(np.interp(us, grid_y, grid_f) + delta, grid_f, grid_y)
+    vs = _mass_end_table(m, us, delta)
     sn = m.sigma_n
     cond = _phi_diff((us - x) / sn, (vs - x) / sn)
     k = int(np.argmax(cond))
 
     def cond_exact(u):
-        v = m.marginal_quantile(min(m.marginal_cdf(u) + delta, 1.0 - 1e-15))
+        v = _mass_end(m, u, delta)
         return float(_phi_diff((u - x) / sn, (v - x) / sn))
 
     lo_b = float(us[max(k - 1, 0)])
@@ -258,7 +261,7 @@ def _superlevel_interval(m, x, rng_iv, delta):
     u_star, _ = golden_section_max(cond_exact, lo_b, hi_b, tol=1e-10 * max(1.0, abs(a), abs(b)))
     if float(cond[k]) > cond_exact(u_star):
         u_star = float(us[k])
-    v_star = m.marginal_quantile(min(m.marginal_cdf(u_star) + delta, 1.0 - 1e-15))
+    v_star = _mass_end(m, u_star, delta)
     return Interval(float(u_star), float(v_star))
 
 
@@ -302,14 +305,11 @@ def check_brascamp_lieb_bound(m):
 
     For a prior with curvature floor 1/beta^2 the posterior variance is
     at most (1/sigma_n^2 + 1/beta^2)^{-1}; Gaussian priors meet it with
-    equality. Non-log-concave priors get a not-applicable pass.
+    equality. Priors that declare no curvature floor get a not-applicable
+    pass.
     """
-    prior = m.prior
-    if isinstance(prior, GaussianPrior):
-        beta = prior.sigma_x
-    elif isinstance(prior, StronglyLogConcavePrior):
-        beta = prior.beta
-    else:
+    floor = m.prior.curvature_floor()
+    if floor is None:
         return _result(
             "brascamp_lieb_bound",
             0.0,
@@ -317,7 +317,7 @@ def check_brascamp_lieb_bound(m):
             None,
             "not applicable: prior is not declared log-concave",
         )
-    bound = 1.0 / (1.0 / m.sigma_n**2 + 1.0 / beta**2)
+    bound = 1.0 / (1.0 / m.sigma_n**2 + floor)
     win_lo, win_hi = m.window
     half = 6.0 * m.sigma_y  # stay clear of truncation bias at the window edge
     ys = np.linspace(max(win_lo, -half), min(win_hi, half), 2048)
@@ -325,7 +325,7 @@ def check_brascamp_lieb_bound(m):
     worst_idx = int(np.argmax(var))
     worst = float(var[worst_idx]) - bound
     detail = f"max posterior variance {var[worst_idx]:.10f} vs bound {bound:.10f}"
-    if isinstance(prior, GaussianPrior):
+    if m.prior.gaussian_ratio_ok(m.sigma_n) is not None:  # equality case
         detail += f"; max |variance - bound| = {float(np.max(np.abs(var - bound))):.3g}"
     return _result(
         "brascamp_lieb_bound", worst, 1e-6, float(ys[worst_idx]), detail
@@ -345,14 +345,7 @@ _SUITE = (
 
 def _suite_thunks(m, seed):
     def monotonicity():
-        if isinstance(m.prior, GaussianPrior) and m.prior.sigma_x**2 <= 3.0 * m.sigma_n**2:
-            base = 0.0
-        else:
-            M = m.unimodal_tail_threshold()
-            if M is None:
-                raise DomainError("unimodal tail threshold unknown; check not applicable")
-            base = M
-        a = base + 0.25 * m.sigma_y
+        a = _monotone_from(m)[0] + 0.25 * m.sigma_y
         b_max = min(a + 8.0 * m.sigma_y + 0.01, m.window[1])
         return check_interval_monotonicity(m, a, b_max, 500)
 

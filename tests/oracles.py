@@ -3,8 +3,8 @@
 Everything here is deliberately written against plain math/numpy, never
 against the package under test, so that agreement between the two is
 evidence rather than tautology.  The oracles are slow and simple on
-purpose: a cancellation-free power series for erf, bisection for normal
-quantiles, and dense-grid trapezoid quadrature for posterior moments.
+purpose: a cancellation-free power series for erf and dense-grid
+trapezoid quadrature for posterior moments.
 """
 
 import math
@@ -45,20 +45,6 @@ def normal_cdf_oracle(x):
     if x < -9.0:
         return 0.5 * math.erfc(-x / SQRT2)  # beyond series range; tail only
     return 0.5 * (1.0 + erf_series(x / SQRT2))
-
-
-def normal_quantile_oracle(p, tol=1e-12):
-    """Inverse of normal_cdf_oracle by plain bisection on [-13, 13]."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0,1)")
-    lo, hi = -13.0, 13.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if normal_cdf_oracle(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def normal_pdf(x):

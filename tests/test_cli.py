@@ -47,6 +47,17 @@ class TestGridParsing:
         with pytest.raises(ConfigError):
             _parse_grid(bad, "deltas")
 
+    def test_point_count_capped(self, capsys):
+        # the count is checked before a list is built: a 1e-12 step must not
+        # allocate 10^12 floats
+        assert len(_parse_grid("0:999999:1", "y-grid")) == 10**6
+        for spec in ("0:1000000:1", "0:1:1e-12", "0:inf:1", "0:1:1e-320"):
+            with pytest.raises(ConfigError, match="more than 1000000 points"):
+                _parse_grid(spec, "y-grid")
+        code, out, err = _run(capsys, "posterior", "--y-grid", "0:1:1e-9")
+        assert (code, out) == (2, "")
+        assert "--y-grid" in err
+
     def test_fuse_leading_dash(self):
         argv = ["posterior", "--y-grid", "-4:4:0.5", "--seed", "3"]
         fused = _fuse_leading_dash_values(argv)

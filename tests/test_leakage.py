@@ -23,7 +23,7 @@ from gausspml import (
     validate_partition,
     worst_interval_search,
 )
-from gausspml.leakage import _kernel_prob, _phi_diff
+from gausspml.leakage import _kernel_prob, _mass_end, _mass_end_table, _phi_diff
 from oracles import trapz_interval_mass
 
 INF = math.inf
@@ -287,6 +287,17 @@ class TestTailThresholds:
 
 
 class TestWorstIntervalSearch:
+    def test_mass_end_against_closed_form(self, canonical):
+        # Y ~ N(0, 2): the end v of a mass-delta interval from u is exact
+        # in the quantile route and close in the table route
+        us = np.linspace(-3.0, 1.0, 9)
+        table = _mass_end_table(canonical, us, 0.1)
+        for u, v_table in zip(us, table):
+            p = mpmath.ncdf(mpmath.mpf(u) / mpmath.sqrt(2)) + mpmath.mpf("0.1")
+            v = float(2 * mpmath.erfinv(2 * p - 1))  # sqrt(2) * Phi^-1(p)
+            assert _mass_end(canonical, u, 0.1) == pytest.approx(v, abs=1e-11)
+            assert v_table == pytest.approx(v, abs=1e-5)
+
     def test_right_tail_window_flush_right(self, canonical):
         rng_iv = Interval(1.0, 8.0)
         delta = 0.05

@@ -14,9 +14,8 @@ from gausspml.numerics import (
     integrate,
     std_normal_cdf,
     std_normal_pdf,
-    std_normal_quantile,
 )
-from oracles import erf_series, normal_cdf_oracle, normal_quantile_oracle
+from oracles import erf_series, normal_cdf_oracle
 
 
 class TestStdNormal:
@@ -45,22 +44,6 @@ class TestStdNormal:
         val = integrate(std_normal_pdf, -10.0, 10.0)
         assert val == pytest.approx(1.0, abs=1e-12)
         assert std_normal_pdf(0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-15)
-
-    def test_quantile_matches_bisection_oracle(self):
-        for p in (1e-6, 1e-3, 0.025, 0.3, 0.5, 0.7, 0.975, 0.999, 1 - 1e-6):
-            assert std_normal_quantile(p) == pytest.approx(
-                normal_quantile_oracle(p), abs=1e-10
-            )
-
-    @given(st.floats(min_value=1e-12, max_value=1.0 - 1e-12))
-    @settings(max_examples=200, deadline=None)
-    def test_quantile_inverts_cdf(self, p):
-        assert std_normal_cdf(std_normal_quantile(p)) == pytest.approx(p, rel=1e-12, abs=1e-14)
-
-    def test_quantile_domain(self):
-        for p in (0.0, 1.0, -0.1, 1.1, float("nan")):
-            with pytest.raises(DomainError):
-                std_normal_quantile(p)
 
     def test_erf_scaling_against_cdf(self):
         # erf(x) = 2 Phi(x sqrt 2) - 1, checked through the series oracle

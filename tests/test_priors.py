@@ -16,7 +16,6 @@ from gausspml import (
     QuadratureConfig,
     StronglyLogConcavePrior,
     check_strong_log_concavity,
-    density_at,
     normalization_constant,
     prior_from_json,
 )
@@ -40,7 +39,7 @@ class TestGaussianPrior:
         prior = GaussianPrior(0.5)
         np.testing.assert_allclose(prior.theta_second(np.array([-1.0, 0.0, 3.0])), 4.0)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan"), True, "2", None])
     def test_bad_sigma_rejected(self, bad):
         with pytest.raises(DomainError):
             GaussianPrior(bad)
@@ -85,7 +84,15 @@ class TestStronglyLogConcavePrior:
 
     @pytest.mark.parametrize(
         "beta, c, p",
-        [(0.0, 1.0, 2.0), (-1.0, 1.0, 2.0), (1.0, -0.5, 2.0), (1.0, 1.0, 0.5)],
+        [
+            (0.0, 1.0, 2.0),
+            (-1.0, 1.0, 2.0),
+            (1.0, -0.5, 2.0),
+            (1.0, 1.0, 0.5),
+            ("1", 1.0, 4.0),
+            (1.0, True, 4.0),
+            (1.0, 1.0, [4.0]),
+        ],
     )
     def test_bad_parameters_rejected(self, beta, c, p):
         with pytest.raises(DomainError):
@@ -105,10 +112,6 @@ class TestGaussianMixturePrior:
         prior = GaussianMixturePrior((0.5, 0.5), (-2.0, 2.0), (1.0, 1.0))
         assert normalization_constant(prior) == 1.0
 
-    def test_mean_weighted(self):
-        prior = GaussianMixturePrior((0.25, 0.75), (-2.0, 2.0), (1.0, 1.0))
-        assert prior.mean() == pytest.approx(0.25 * -2.0 + 0.75 * 2.0, rel=1e-12)
-
     def test_not_strongly_log_concave(self):
         prior = GaussianMixturePrior((0.5, 0.5), (-2.0, 2.0), (1.0, 1.0))
         report = check_strong_log_concavity(prior, 10.0, np.linspace(-4.0, 4.0, 801))
@@ -123,6 +126,10 @@ class TestGaussianMixturePrior:
             ((0.5, 0.5), (-1.0, 1.0), (1.0, 0.0)),  # zero sigma
             ((-0.5, 1.5), (-1.0, 1.0), (1.0, 1.0)),  # negative weight
             ((), (), ()),  # empty
+            ("1", (0.0,), (1.0,)),  # a string is not an array
+            ((True,), (0.0,), (1.0,)),  # bool entry
+            ((1.0,), ("0",), (1.0,)),  # string entry
+            (1.0, (0.0,), (1.0,)),  # scalar for an array
         ],
     )
     def test_bad_parameters_rejected(self, weights, means, sigmas):
@@ -145,7 +152,6 @@ class TestGridPrior:
     def test_not_full_support(self):
         prior = self._simple()
         assert prior.is_full_support is False
-        assert prior.is_approximate is True
 
     def test_outside_window_rejected(self):
         prior = self._simple()
@@ -170,6 +176,8 @@ class TestGridPrior:
             ((0.0, 1.0), (0.0, 0.0, 0.0)),  # length mismatch
             ((0.0,), (0.0,)),  # too short
             ((0.0, 1.0, 2.0), (0.0, float("nan"), 0.0)),  # non-finite
+            ("012", (0.0, 0.0, 0.0)),  # a string is not an array
+            ((0.0, 1.0, 2.0), (0.0, False, 0.0)),  # bool entry
         ],
     )
     def test_bad_grids_rejected(self, xs, logd):
@@ -179,15 +187,86 @@ class TestGridPrior:
 
 class TestDensityAt:
     def test_scalar_in_scalar_out(self):
-        val = density_at(GaussianPrior(1.0), 0.0)
+        val = GaussianPrior(1.0).density(0.0)
         assert isinstance(val, float)
         assert val == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-14)
 
     @given(st.floats(min_value=-6.0, max_value=6.0))
     @settings(max_examples=100, deadline=None)
     def test_nonnegative_everywhere(self, x):
-        assert density_at(GaussianPrior(1.0), x) >= 0.0
-        assert density_at(StronglyLogConcavePrior(1.0, 1.0, 4.0), x) >= 0.0
+        assert GaussianPrior(1.0).density(x) >= 0.0
+        assert StronglyLogConcavePrior(1.0, 1.0, 4.0).density(x) >= 0.0
+
+
+_SQRT3 = math.sqrt(3.0)
+_MIXTURE = GaussianMixturePrior((0.5, 0.5), (-2.0, 2.0), (1.0, 1.0))
+_GRID = GridPrior((-3.0, 0.0, 3.0), (-4.5, 0.0, -4.5))
+
+
+class TestDeclaredHypotheses:
+    """What each family declares, read by condition_report and the suite."""
+
+    @pytest.mark.parametrize(
+        "prior, floor, full",
+        [
+            (GaussianPrior(2.0), 0.25, True),
+            (StronglyLogConcavePrior(0.5, 1.0, 4.0), 4.0, True),
+            (_MIXTURE, None, True),
+            (_GRID, None, False),
+        ],
+    )
+    def test_curvature_floor_and_support(self, prior, floor, full):
+        assert prior.curvature_floor() == floor
+        assert prior.is_full_support is full
+
+    @pytest.mark.parametrize(
+        "sigma_x, sigma_n, ok",
+        [
+            (1.0, 1.0, True),
+            (_SQRT3, 1.0, True),  # the boundary fixture: sigma_x^2 rounds below 3
+            (math.sqrt(6.75), 1.5, True),  # sigma_x^2 == 3 sigma_n^2 exactly in floats
+            (_SQRT3 * (1.0 + 1e-12), 1.0, False),
+            (2.0, 1.0, False),
+            (2.0, 1.2, True),
+            (1.0, 0.5, False),
+        ],
+    )
+    def test_gaussian_ratio(self, sigma_x, sigma_n, ok):
+        assert GaussianPrior(sigma_x).gaussian_ratio_ok(sigma_n) is ok
+
+    @pytest.mark.parametrize(
+        "prior", [StronglyLogConcavePrior(1.0, 0.0, 2.0), _MIXTURE, _GRID]
+    )
+    def test_ratio_only_on_gaussian(self, prior):
+        assert prior.gaussian_ratio_ok(1.0) is None
+
+    @pytest.mark.parametrize(
+        "prior, z",
+        [
+            (GaussianPrior(2.0), 2.0 * math.sqrt(2.0 * math.pi)),
+            (StronglyLogConcavePrior(1.3, 0.0, 2.0), 1.3 * math.sqrt(2.0 * math.pi)),
+            (_MIXTURE, 1.0),
+            (_GRID, 2.0 * (1.0 - math.exp(-4.5)) / 1.5),  # two ramps of log-slope 1.5
+        ],
+    )
+    def test_normalization_constant(self, prior, z):
+        assert prior.normalization_constant() == pytest.approx(z, rel=1e-10)
+        assert normalization_constant(prior) == prior.normalization_constant()
+        assert prior.log_z() == pytest.approx(math.log(z), abs=1e-10)
+
+    @pytest.mark.parametrize("module", ["gausspml.envelope", "gausspml.verify"])
+    def test_callers_bind_no_prior_class(self, module):
+        import importlib
+
+        from gausspml.priors import _Prior
+
+        assert issubclass(GridPrior, _Prior)
+        bound = [
+            name
+            for name, v in vars(importlib.import_module(module)).items()
+            if isinstance(v, type) and issubclass(v, _Prior)
+        ]
+        assert bound == []
 
 
 class TestPriorFromJson:

@@ -19,7 +19,7 @@ from gausspml import (
     event_mass,
     run_suite,
 )
-from gausspml.verify import _SUITE, _random_union
+from gausspml.verify import _SUITE, _union_sampler
 
 
 class TestCheckResultInvariant:
@@ -95,8 +95,9 @@ class TestTailWorstBound:
 class TestRandomUnion:
     def test_mass_within_tolerance(self, canonical):
         rng = np.random.default_rng(0)
+        draw = _union_sampler(canonical)
         for _ in range(50):
-            cells = _random_union(canonical, rng, 0.15)
+            cells = draw(rng, 0.15)
             assert 1 <= len(cells) <= 4
             assert abs(event_mass(canonical, cells) - 0.15) <= 1e-6
             for left, right in zip(cells, cells[1:]):
@@ -104,15 +105,16 @@ class TestRandomUnion:
 
     def test_respects_window(self, canonical):
         rng = np.random.default_rng(1)
+        draw = _union_sampler(canonical, window=(-1.0, 1.0))
         for _ in range(20):
-            cells = _random_union(canonical, rng, 0.05, window=(-1.0, 1.0))
+            cells = draw(rng, 0.05)
             assert cells[0].lo >= -1.0
             assert cells[-1].hi <= 1.0
 
     def test_infeasible_target(self, canonical):
         rng = np.random.default_rng(2)
         with pytest.raises(DomainError):
-            _random_union(canonical, rng, 1.5)
+            _union_sampler(canonical)(rng, 1.5)
 
 
 class TestBathtubOptimality:
