@@ -31,7 +31,9 @@ from .errors import (
     ModelError,
     NumericalError,
     check_fields,
+    check_count,
     check_number,
+    check_probability,
     decode_endpoint,
     encode_endpoint,
 )
@@ -223,15 +225,8 @@ def _validate_args(command, args):
             isinstance(deltas, (list, tuple)) and deltas,
             "/command_args/deltas: expected a non-empty list",
         )
-        args["deltas"] = [check_number(d, f"/command_args/deltas/{i}") for i, d in enumerate(deltas)]
-        for i, v in enumerate(args["deltas"]):
-            _require(0.0 < v < 1.0, f"/command_args/deltas/{i}: must lie in (0, 1)")
-        mc = args.get("max_cells", 4)
-        _require(
-            isinstance(mc, int) and not isinstance(mc, bool) and 1 <= mc <= 6,
-            "/command_args/max_cells: expected an integer in [1, 6]",
-        )
-        args["max_cells"] = mc
+        args["deltas"] = [check_probability(d, f"/command_args/deltas/{i}") for i, d in enumerate(deltas)]
+        args["max_cells"] = check_count(args.get("max_cells", 4), "/command_args/max_cells", hi=6)
     elif command == "leakage":
         has_iv, has_un = "interval" in args, "union" in args
         _require(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, check_count, check_probability
 from .leakage import (
     FinitePartition,
     Interval,
@@ -21,7 +21,7 @@ from .leakage import (
     interval_leakage,
     tail_thresholds,
 )
-from .numerics import golden_section_max
+from .numerics import golden_section_max, refine_max
 from .priors import check_strong_log_concavity
 
 _UNITS = 32  # simplex resolution: bad mass is allocated in units of delta/32
@@ -73,14 +73,9 @@ def condition_report(m):
             operation="condition_report",
             last_estimate=gap,
         )
-    k = int(np.argmax(var_curv))
-    a = float(ys[max(k - 1, 0)])
-    b = float(ys[min(k + 1, ys.size - 1)])
-    _, polished = golden_section_max(
-        lambda y: float(m._posterior_variance_batch(y)[1][0]),
-        a, b, tol=1e-10 * max(1.0, abs(a), abs(b)),
+    _, sup_var = refine_max(
+        lambda y: float(m._posterior_variance_batch(y)[1][0]), ys, var_curv, 1e-10
     )
-    sup_var = max(float(var_curv[k]), polished)
 
     threshold = 0.75 * m.sigma_n**2
     x_lo, x_hi = m.x_window
@@ -128,6 +123,7 @@ def _side_best(tail_leak, interior, max_k):
     """
     n = _UNITS
     best = np.full((max_k + 1, n + 1), -np.inf)
+    best[0, 0] = np.inf  # an empty side bounds nothing
     best[1, 1:] = tail_leak
     choice = np.full((max_k + 1, n + 1), -1, dtype=int)
     for k in range(2, max_k + 1):
@@ -196,7 +192,8 @@ def _refine_allocation(m, kl, w, delta):
     for _ in range(3):
         for b in range(1, n):
             cum = np.cumsum(w)
-            lo = (cum[b - 2] if b >= 2 else 0.0) + _MASS_FLOOR
+            base = cum[b - 2] if b >= 2 else 0.0  # mass left of slice b - 1
+            lo = base + _MASS_FLOOR
             hi = (cum[b] if b < n - 1 else delta) - _MASS_FLOOR
             # keep the quantile level of each cut that moves with s inside
             # (F[0], F[-1]], i.e. inside the working window
@@ -207,18 +204,16 @@ def _refine_allocation(m, kl, w, delta):
             if hi <= lo:
                 continue
 
-            def trial(s, b=b, cum=cum):
-                ww = w.copy()
-                left_base = cum[b - 2] if b >= 2 else 0.0
-                ww[b - 1] = s - left_base
-                ww[b] = (cum[b] - left_base) - ww[b - 1]
-                return _alloc_value(m, kl, ww)
+            def split(s, b=b, base=base, pair=cum[b] - base):
+                ww = w.copy()  # slices b - 1 and b, cut at cumulative mass s
+                ww[b - 1] = s - base
+                ww[b] = pair - ww[b - 1]
+                return ww
 
-            s_star, _ = golden_section_max(trial, lo, hi, tol=1e-10 * max(1.0, delta))
-            left_base = cum[b - 2] if b >= 2 else 0.0
-            new_b1 = s_star - left_base
-            new_b = (cum[b] - left_base) - new_b1
-            w[b - 1], w[b] = new_b1, new_b
+            s_star, _ = golden_section_max(
+                lambda s: _alloc_value(m, kl, split(s)), lo, hi, tol=1e-10 * max(1.0, delta)
+            )
+            w = split(s_star)
     return w, _alloc_value(m, kl, w)
 
 
@@ -260,10 +255,8 @@ def envelope_bruteforce_lower_bound(m, delta, max_cells):
     working window; returns at least the single-tail construction
     whenever that fits, and raises DomainError when no tail cut does.
     """
-    if not (isinstance(delta, (int, float)) and 0.0 < delta < 1.0):
-        raise DomainError("delta must lie strictly between 0 and 1")
-    if not (isinstance(max_cells, int) and 1 <= max_cells <= 6):
-        raise DomainError("max_cells must be an integer in [1, 6]")
+    delta = check_probability(delta, "delta")
+    max_cells = check_count(max_cells, "max_cells", lo=1, hi=6)
 
     unit = delta / _UNITS
     F, Y = m._Fy_grid, m.y_grid
@@ -279,23 +272,12 @@ def envelope_bruteforce_lower_bound(m, delta, max_cells):
     (best_l, choice_l), (best_r, choice_r) = sides
 
     candidates = []  # (value, kl, kr, jl) lexicographic-deterministic
-    for kl in range(0, max_cells + 1):
-        for kr in range(0, max_cells + 1 - kl):
-            if kl == 0 and kr == 0:
-                continue
-            for jl in range(0, _UNITS + 1):
-                jr = _UNITS - jl
-                if (kl == 0) != (jl == 0) or (kr == 0) != (jr == 0):
-                    continue
-                if jl < kl or jr < kr:
-                    continue
-                v = np.inf
-                if kl:
-                    v = min(v, best_l[kl, jl])
-                if kr:
-                    v = min(v, best_r[kr, jr])
-                if np.isfinite(v):
-                    candidates.append((float(v), kl, kr, jl))
+    for kl in range(max_cells + 1):
+        for kr in range(max_cells + 1 - kl):
+            # jl units in kl left slices, the other _UNITS - jl in kr right ones;
+            # best[k, j] is -inf where j units cannot fill k slices
+            v = np.minimum(best_l[kl], best_r[kr, ::-1])
+            candidates += [(float(v[j]), kl, kr, j) for j in np.flatnonzero(np.isfinite(v)).tolist()]
     if not candidates:
         raise DomainError(
             f"delta={delta!r} leaves no tail cut inside the working window"
@@ -389,8 +371,7 @@ def _closed_form_test(m, report):
 
 def envelope_point(m, delta, max_cells=4, _closed=None):
     """Envelope value at one delta, with regime label and witness."""
-    if not (isinstance(delta, (int, float)) and 0.0 < delta < 1.0):
-        raise DomainError("delta must lie strictly between 0 and 1")
+    delta = check_probability(delta, "delta")
     if _closed is None:
         _closed = _closed_form_test(m, condition_report(m))
     if _closed(delta):
@@ -408,9 +389,6 @@ def envelope_point(m, delta, max_cells=4, _closed=None):
 
 def envelope_curve(m, deltas, max_cells=4):
     """envelope_point over a delta grid, sharing one regime test."""
-    deltas = [float(d) for d in deltas]
-    for d in deltas:
-        if not 0.0 < d < 1.0:
-            raise DomainError("every delta must lie strictly between 0 and 1")
+    deltas = [check_probability(d, "delta") for d in deltas]
     closed = _closed_form_test(m, condition_report(m))
     return [envelope_point(m, d, max_cells=max_cells, _closed=closed) for d in deltas]

@@ -79,6 +79,23 @@ def check_number(value, pointer, positive=False):
     return v
 
 
+def check_probability(value, pointer):
+    """A real strictly between 0 and 1, as float."""
+    p = check_number(value, pointer)
+    if not 0.0 < p < 1.0:
+        raise DomainError(f"{pointer}: must lie strictly between 0 and 1")
+    return p
+
+
+def check_count(value, pointer, lo=1, hi=None):
+    """An integer in [lo, hi] (hi None: unbounded), as int; floats fail."""
+    v = check_number(value, pointer)
+    if not isinstance(value, numbers.Integral) or v < lo or (hi is not None and v > hi):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise DomainError(f"{pointer}: must be an integer {bound}")
+    return int(value)
+
+
 def decode_endpoint(value, pointer):
     """An interval endpoint: a number, or "-inf"/"inf" in a JSON spelling."""
     if isinstance(value, str):

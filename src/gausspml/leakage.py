@@ -13,8 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .errors import DomainError, check_fields, decode_endpoint, encode_endpoint
-from .numerics import golden_section_max
+from .errors import (
+    DomainError,
+    check_fields,
+    check_number,
+    check_probability,
+    decode_endpoint,
+    encode_endpoint,
+)
+from .numerics import refine_max
 
 _ORACLE_MIN_POINTS = 4096
 _ORACLE_SPACING = 1 / 400  # in units of sigma_n
@@ -54,9 +61,10 @@ class Interval:
     hi: float
 
     def __post_init__(self):
-        lo, hi = float(self.lo), float(self.hi)
-        if math.isnan(lo) or math.isnan(hi):
-            raise DomainError("interval endpoints must not be NaN")
+        lo, hi = (
+            v if isinstance(v, float) and math.isinf(v) else check_number(v, name)
+            for name, v in (("lo", self.lo), ("hi", self.hi))
+        )
         if lo > hi:
             raise DomainError(f"requires lo <= hi, got ({lo!r}, {hi!r})")
         object.__setattr__(self, "lo", lo)
@@ -225,15 +233,10 @@ def set_leakage_oracle(m, union):
     span = max(hi - lo, m.sigma_n)
     n = max(_ORACLE_MIN_POINTS, int(math.ceil(span / (m.sigma_n * _ORACLE_SPACING))) + 1)
     grid = np.linspace(lo, hi, n)
-    q = _conditional_union_prob(m, ordered, grid)
-    k = int(np.argmax(q))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, n - 1)]
-    _, q_max = golden_section_max(
+    _, q_max = refine_max(
         lambda t: float(_conditional_union_prob(m, ordered, np.asarray(t))),
-        float(a), float(b), tol=1e-12 * max(1.0, abs(a), abs(b)),
+        grid, _conditional_union_prob(m, ordered, grid), 1e-12,
     )
-    q_max = max(q_max, float(q[k]))
     return LeakageNats(math.log(q_max) - math.log(mass))
 
 
@@ -274,8 +277,7 @@ def partition_delta_quantile(m, part, delta):
     a 1e-7 slack so a quadrature shortfall in masses that sum to delta
     on paper cannot skip past the intended outcome.
     """
-    if not (isinstance(delta, (int, float)) and 0.0 < delta < 1.0):
-        raise DomainError("delta must lie strictly between 0 and 1")
+    delta = check_probability(delta, "delta")
     validate_partition(m, part)
     outcomes = []
     for label, cells in part.outcome_unions():
@@ -292,9 +294,8 @@ def partition_delta_quantile(m, part, delta):
 
 def tail_thresholds(m, delta_left, delta_right):
     """Cut points with P_Y(-inf, t_L) = delta_left, P_Y(t_R, inf) = delta_right."""
-    for name, d in (("delta_left", delta_left), ("delta_right", delta_right)):
-        if not (isinstance(d, (int, float)) and 0.0 < d < 1.0):
-            raise DomainError(f"{name} must lie strictly between 0 and 1")
+    delta_left = check_probability(delta_left, "delta_left")
+    delta_right = check_probability(delta_right, "delta_right")
     if delta_left + delta_right >= 1.0:
         raise DomainError("tail masses are infeasible: delta_left + delta_right >= 1")
     return (m.marginal_quantile(delta_left), m.marginal_quantile(1.0 - delta_right))
@@ -310,53 +311,50 @@ def _mass_end(m, u, delta):
     return m.marginal_quantile(min(m.marginal_cdf(u) + delta, 1.0 - 1e-15))
 
 
+def _mass_window(m, rng, delta, score, n=512):
+    """Interval (u, v(u)) inside the range rng maximizing score(u, v).
+
+    v(u) = F_Y^{-1}(F_Y(u) + delta), so every candidate has mass delta;
+    rng must be bounded and inside the working window. score maps arrays
+    or scalars (u, v) to values. n lower ends are scored on the cached
+    CDF table, refine_max polishes the best of them on exact quantiles,
+    and the result is the best of the polish and the two range ends,
+    each scored exactly. The range ends stay candidates because near the
+    right tail the exact quantile solves at levels close to 1, where it
+    cancels, and the polish can miss a window flush with rng.hi.
+    """
+    win_lo, win_hi = m.window
+    if not (rng.is_bounded and win_lo <= rng.lo and rng.hi <= win_hi):
+        raise DomainError("search range must be a bounded interval inside the working window")
+    f_hi = m.marginal_cdf(rng.hi)
+    p_range = f_hi - m.marginal_cdf(rng.lo)
+    delta = check_number(delta, "delta")
+    if not 0.0 < delta < p_range:
+        raise DomainError(f"delta must lie strictly between 0 and P_Y(range)={p_range!r}")
+    u_max = min(max(m.marginal_quantile(f_hi - delta), rng.lo), rng.hi)
+    us = np.linspace(rng.lo, u_max, n)
+    u_star, _ = refine_max(
+        lambda u: score(u, _mass_end(m, u, delta)),
+        us, score(us, _mass_end_table(m, us, delta)), 1e-10,
+    )
+    ends = {u: _mass_end(m, u, delta) for u in (u_star, rng.lo, u_max)}
+    best = max(ends, key=lambda u: score(u, ends[u]))  # ties keep the polish
+    return Interval(best, min(ends[best], rng.hi))
+
+
 def worst_interval_search(m, rng, delta):
     """Longest (equivalently, leakiest) interval of mass delta inside rng.
 
-    Parametrizes candidates by their lower endpoint u with upper
-    endpoint v(u) = F_Y^{-1}(F_Y(u) + delta), scans u coarsely, then
-    golden-section refines. Length and leakage rank equal-mass
-    intervals identically because the leakage numerator grows with
-    length. When the marginal's unimodal tail threshold is unknown the
-    coarse scan is made exhaustive instead of relying on unimodality.
+    Length and leakage rank equal-mass intervals identically because
+    the leakage numerator grows with length, so this is the mass-delta
+    window of largest v - u (see _mass_window). When the marginal's
+    unimodal tail threshold is unknown the coarse scan takes 10,000
+    lower ends instead of relying on unimodality.
     """
     if not isinstance(rng, Interval):
         rng = Interval(*rng)
-    if not rng.is_bounded:
-        raise DomainError("search range must be a bounded interval")
-    win_lo, win_hi = m.window
-    if rng.lo < win_lo or rng.hi > win_hi:
-        raise DomainError("search range must lie inside the working window")
-    f_lo = m.marginal_cdf(rng.lo)
-    f_hi = m.marginal_cdf(rng.hi)
-    p_range = f_hi - f_lo
-    if not (isinstance(delta, (int, float)) and 0.0 < delta < p_range):
-        raise DomainError(
-            f"delta must lie strictly between 0 and P_Y(range)={p_range!r}"
-        )
-
-    u_max = m.marginal_quantile(f_hi - delta)
-    u_max = min(max(u_max, rng.lo), rng.hi)
-
-    n_coarse = 10_000 if m.unimodal_tail_threshold() is None else 512
-    us = np.linspace(rng.lo, u_max, n_coarse)
-    lengths = _mass_end_table(m, us, delta) - us
-    k = int(np.argmax(lengths))
-
-    def length_exact(u):
-        return _mass_end(m, u, delta) - u
-
-    lo_b = float(us[max(k - 1, 0)])
-    hi_b = float(us[min(k + 1, n_coarse - 1)])
-    u_star, _ = golden_section_max(length_exact, lo_b, hi_b, tol=1e-8)
-    # candidate endpoints can out-score the interior refinement
-    best_u, best_len = u_star, length_exact(u_star)
-    for cand in (rng.lo, u_max):
-        cand_len = length_exact(cand)
-        if cand_len > best_len:
-            best_u, best_len = cand, cand_len
-    v_star = best_u + best_len
-    iv = Interval(best_u, min(v_star, rng.hi))
+    n = 10_000 if m.unimodal_tail_threshold() is None else 512
+    iv = _mass_window(m, rng, delta, lambda u, v: v - u, n)
     return iv, interval_leakage(m, iv)
 
 

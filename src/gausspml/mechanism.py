@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .errors import DomainError, NumericalError, check_number
+from .errors import DomainError, NumericalError, check_number, check_probability
 from .numerics import DEFAULT_CONFIG, QuadratureConfig, find_root_increasing
+from .priors import check_prior
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _CHUNK = 128  # rows per kernel block; a block spans a few sigma_n on the default grid
@@ -155,9 +156,11 @@ class Mechanism:
     side; pass an increasing array to override. The grid's endpoints
     define the working window for quantiles and window-wide scans.
 
-    The prior's Simpson rule takes cfg.panel_count panels, or more when
-    that leaves nodes farther apart than sigma_n / 4; a noise scale that
-    would need more than 2**16 panels raises NumericalError.
+    The prior must be one of the four families in priors.py (anything
+    else raises DomainError). Its Simpson rule takes cfg.panel_count
+    panels, or more when that leaves nodes farther apart than
+    sigma_n / 4; a noise scale that would need more than 2**16 panels
+    raises NumericalError.
     """
 
     prior: object
@@ -168,6 +171,7 @@ class Mechanism:
     def __post_init__(self):
         sn = check_number(self.sigma_n, "sigma_n", positive=True)
         object.__setattr__(self, "sigma_n", sn)
+        check_prior(self.prior)
 
         x_lo, x_hi = self.prior.support(self.cfg)
         # nodes no farther apart than sigma_n / 4 resolve the kernel
@@ -212,7 +216,7 @@ class Mechanism:
         fy, dfy, Fy = self._reduce(grid, ("f", "df", "cdf"))
         object.__setattr__(self, "_fy_grid", fy)
         object.__setattr__(self, "_dfy_grid", dfy)
-        Fy = np.minimum(np.maximum.accumulate(np.clip(Fy, 0.0, 1.0)), 1.0)
+        Fy = np.maximum.accumulate(np.clip(Fy, 0.0, 1.0))
         object.__setattr__(self, "_Fy_grid", Fy)
 
         # resolution probe: the marginal from a rule twice as fine must agree
@@ -287,8 +291,7 @@ class Mechanism:
         bracket no wider than 1e-12 max(1, |bracket end|) on which
         F_Y - p takes both signs (see find_root_increasing).
         """
-        if not (isinstance(p, (int, float)) and 0.0 < p < 1.0):
-            raise DomainError("p must lie strictly between 0 and 1")
+        p = check_probability(p, "p")
         grid, Fg = self.y_grid, self._Fy_grid
         k = int(np.searchsorted(Fg, p))
         if k == 0 or k == grid.size:

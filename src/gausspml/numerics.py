@@ -1,29 +1,31 @@
 """Special functions, quadrature, root finding and maximization.
 
 Everything downstream is built on the operations here: the standard
-normal CDF and density, adaptive Simpson integration, the package's one
-root finder (safeguarded Newton with a bisection fallback, written here
-so that no scipy.optimize import is paid), and golden-section
-maximization. All logarithms in this package are natural logs; leakage
-values are nats.
+normal density, adaptive Simpson integration, the package's one root
+finder (safeguarded Newton with a bisection fallback, written here so
+that no scipy.optimize import is paid), and its one maximizer:
+refine_max scans a grid, brackets the scan argmax by its two neighbours
+and polishes it by golden section, keeping the scan value when the
+polish lands lower. All logarithms in this package are natural logs;
+leakage values are nats.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
-from .errors import DomainError, NumericalError, PreconditionError, check_number
+from .errors import DomainError, NumericalError, PreconditionError, check_count, check_number
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # Doublings tried by integrate() before giving up; 2048 panels * 2^8 is
 # already ~half a million nodes, far past any integrand used here.
 _MAX_DOUBLINGS = 8
+# Golden-section steps before tol stops them; 200 shrink a bracket ~1e42-fold.
+_GOLDEN_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -43,39 +45,17 @@ class QuadratureConfig:
     def __post_init__(self):
         if check_number(self.truncation_halfwidth, "truncation_halfwidth") < 8.0:
             raise DomainError("truncation_halfwidth must be >= 8")
-        n = self.panel_count
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 256:
-            raise DomainError("panel_count must be an integer >= 256")
+        check_count(self.panel_count, "panel_count", lo=256)
         check_number(self.abs_tol, "abs_tol", positive=True)
 
 
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-def _require_finite_scalar(x, name):
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    return x
-
-
-def std_normal_cdf(x):
-    """Standard normal CDF Phi(x).
-
-    Accepts a float or ndarray; non-finite entries raise DomainError.
-    """
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(_sp.ndtr(_require_finite_scalar(x, "x")))
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("x must be finite")
-    return _sp.ndtr(arr)
-
-
 def std_normal_pdf(x):
     """Standard normal density phi(x) = exp(-x^2/2)/sqrt(2*pi)."""
     if np.isscalar(x) or np.asarray(x).ndim == 0:
-        x = _require_finite_scalar(x, "x")
+        x = check_number(float(x), "x")
         return math.exp(-0.5 * x * x - _LOG_SQRT_2PI)
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -150,14 +130,14 @@ def find_root_increasing(g, lo, hi, tol, x0):
     end never evaluated by the iteration is evaluated last, and the
     wrong sign there raises PreconditionError.
     """
-    lo = _require_finite_scalar(lo, "lo")
-    hi = _require_finite_scalar(hi, "hi")
+    lo = check_number(lo, "lo")
+    hi = check_number(hi, "hi")
     tol = float(tol)
     if not (tol > 0.0):
         raise DomainError("tol must be positive")
     if lo > hi:
         raise PreconditionError("requires lo <= hi")
-    t = min(max(_require_finite_scalar(x0, "x0"), lo), hi)
+    t = min(max(check_number(x0, "x0"), lo), hi)
     seen_lo = seen_hi = probed = False
     step = step_old = hi - lo
     while True:
@@ -186,10 +166,10 @@ def find_root_increasing(g, lo, hi, tol, x0):
     return mid
 
 
-def golden_section_max(f, lo, hi, tol=1e-10, max_iter=200):
+def golden_section_max(f, lo, hi, tol=1e-10):
     """Maximize a unimodal scalar f on [lo, hi]; returns (argmax, max)."""
-    lo = _require_finite_scalar(lo, "lo")
-    hi = _require_finite_scalar(hi, "hi")
+    lo = check_number(lo, "lo")
+    hi = check_number(hi, "hi")
     if lo > hi:
         raise PreconditionError("requires lo <= hi")
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -197,7 +177,7 @@ def golden_section_max(f, lo, hi, tol=1e-10, max_iter=200):
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = float(f(c)), float(f(d))
-    for _ in range(max_iter):
+    for _ in range(_GOLDEN_MAX_ITER):
         if b - a <= tol:
             break
         if fc >= fd:
@@ -210,3 +190,20 @@ def golden_section_max(f, lo, hi, tol=1e-10, max_iter=200):
             fd = float(f(d))
     xs = 0.5 * (a + b)
     return xs, float(f(xs))
+
+
+def refine_max(f, grid, values, rel_tol):
+    """Maximum of f near the best point of a scan; returns (argmax, max).
+
+    values scores grid by f or by a cheaper approximation of it. Golden
+    section polishes f on [grid[k-1], grid[k+1]] around the scan argmax
+    k, to rel_tol * max(1, |bracket ends|); the scan point (grid[k],
+    values[k]) is returned instead when its value is larger.
+    """
+    k = int(np.argmax(values))
+    a = float(grid[max(k - 1, 0)])
+    b = float(grid[min(k + 1, len(grid) - 1)])
+    x, fx = golden_section_max(f, a, b, tol=rel_tol * max(1.0, abs(a), abs(b)))
+    if float(values[k]) > fx:
+        return float(grid[k]), float(values[k])
+    return x, fx

@@ -288,8 +288,7 @@ class LogConcavityReport:
 
 def check_strong_log_concavity(prior, beta_claim, grid):
     """Grid check of theta'' >= 1/beta_claim^2 (within 1e-6 slack)."""
-    if not (math.isfinite(beta_claim) and beta_claim > 0.0):
-        raise DomainError("beta_claim must be finite and positive")
+    beta_claim = check_number(beta_claim, "beta_claim", positive=True)
     if isinstance(prior, GridPrior) and len(prior.xs) < 3:
         raise DomainError("grid prior needs at least 3 points for curvature checks")
     grid = np.asarray(grid, dtype=float)
@@ -316,6 +315,14 @@ _PRIOR_TYPES = {
     "mixture": (GaussianMixturePrior, ("weights", "means", "sigmas")),
     "grid": (GridPrior, ("xs", "log_density")),
 }
+
+
+def check_prior(prior):
+    """prior, after checking it is one of the four families."""
+    if not isinstance(prior, _Prior):
+        names = ", ".join(cls.__name__ for cls, _ in _PRIOR_TYPES.values())
+        raise DomainError(f"prior must be one of {names}; got {type(prior).__name__}")
+    return prior
 
 
 def prior_from_json(obj, pointer=""):

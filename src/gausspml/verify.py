@@ -14,19 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, check_count, check_number, check_probability
 from .leakage import (
     Interval,
     _bounded_numerator,
     _cell_mass,
     _kernel_prob,
-    _mass_end,
-    _mass_end_table,
+    _mass_window,
     _phi_diff,
     interval_leakage,
     set_leakage_oracle,
 )
-from .numerics import golden_section_max
+
+_MAX_UNION_INTERVALS = 4  # random unions have 1 to this many intervals
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def _result(name, worst, tol, location, details):
 # -- random event generation ----------------------------------------------
 
 
-def _union_sampler(m, window=None, max_intervals=4):
+def _union_sampler(m, window=None):
     """draw(rng, target): disjoint intervals with total output mass target.
 
     Endpoints are uniform in the window; the rightmost interval's upper
@@ -70,7 +70,7 @@ def _union_sampler(m, window=None, max_intervals=4):
         if not 0.0 < target < f_hi - f_lo:
             raise DomainError(f"target mass {target!r} infeasible in the window")
         for _ in range(200):
-            k = int(rng.integers(1, max_intervals + 1))
+            k = int(rng.integers(1, _MAX_UNION_INTERVALS + 1))
             pts = np.sort(rng.uniform(win_lo, win_hi, size=2 * k))
             cells = [Interval(float(pts[2 * i]), float(pts[2 * i + 1])) for i in range(k)]
             base = sum(_cell_mass(m, c) for c in cells[:-1])
@@ -122,8 +122,7 @@ def check_concavity_identity(m, n_samples, seed=0):
     the posterior-variance identity to 1e-4 relative and stay negative
     (concavity) at every sampled point.
     """
-    if not (isinstance(n_samples, int) and n_samples >= 1):
-        raise DomainError("n_samples must be a positive integer")
+    n_samples = check_count(n_samples, "n_samples")
     rng = np.random.default_rng(seed)
     x_lo, x_hi = m.x_window
     span = x_hi - x_lo
@@ -162,9 +161,8 @@ def check_interval_monotonicity(m, a, b_max, n_grid):
     b_max reaches a + 8 sigma_y) the terminal value is within 0.01 nats
     of the right-tail leakage log(1/P_Y(a, inf)).
     """
-    if not (isinstance(n_grid, int) and n_grid >= 2):
-        raise DomainError("n_grid must be an integer >= 2")
-    a, b_max = float(a), float(b_max)
+    n_grid = check_count(n_grid, "n_grid", lo=2)
+    a, b_max = check_number(a, "a"), check_number(b_max, "b_max")
     if not b_max > a:
         raise DomainError("requires b_max > a")
     a0, message = _monotone_from(m)
@@ -208,8 +206,8 @@ def check_tail_worst_bound(m, delta, n_random_sets, seed=0):
     The two tail events must have leakage log(1/delta) within 1e-5 and
     every random union of mass delta must stay below log(1/delta) + 1e-5.
     """
-    if not (isinstance(delta, (int, float)) and 0.0 < delta < 1.0):
-        raise DomainError("delta must lie strictly between 0 and 1")
+    delta = check_probability(delta, "delta")
+    n_random_sets = check_count(n_random_sets, "n_random_sets")
     rng = np.random.default_rng(seed)
     bound = math.log(1.0 / delta)
     t_l = m.marginal_quantile(delta)
@@ -220,7 +218,7 @@ def check_tail_worst_bound(m, delta, n_random_sets, seed=0):
     worst_loc = ("left_tail", t_l) if abs(leak_l - bound) >= abs(leak_r - bound) else ("right_tail", t_r)
     draw = _union_sampler(m)
     for i in range(n_random_sets):
-        union = draw(rng, float(delta))
+        union = draw(rng, delta)
         excess = float(set_leakage_oracle(m, union)) - bound
         if excess > worst:
             worst = excess
@@ -235,49 +233,21 @@ def check_tail_worst_bound(m, delta, n_random_sets, seed=0):
     )
 
 
-def _superlevel_interval(m, x, rng_iv, delta):
-    """Mass-delta interval in rng_iv maximizing P(Y in . | X=x).
-
-    By concavity of i(x; .) the super-level set at the right threshold
-    is an interval; it is located by sliding an equal-mass window.
-    """
-    a, b = rng_iv.lo, rng_iv.hi
-    f_a, f_b = m.marginal_cdf(a), m.marginal_cdf(b)
-    if not 0.0 < delta < f_b - f_a:
-        raise DomainError(f"delta must lie strictly between 0 and P_Y(range)={f_b - f_a!r}")
-    u_hi = m.marginal_quantile(f_b - delta)
-    us = np.linspace(a, u_hi, 512)
-    vs = _mass_end_table(m, us, delta)
-    sn = m.sigma_n
-    cond = _phi_diff((us - x) / sn, (vs - x) / sn)
-    k = int(np.argmax(cond))
-
-    def cond_exact(u):
-        v = _mass_end(m, u, delta)
-        return float(_phi_diff((u - x) / sn, (v - x) / sn))
-
-    lo_b = float(us[max(k - 1, 0)])
-    hi_b = float(us[min(k + 1, us.size - 1)])
-    u_star, _ = golden_section_max(cond_exact, lo_b, hi_b, tol=1e-10 * max(1.0, abs(a), abs(b)))
-    if float(cond[k]) > cond_exact(u_star):
-        u_star = float(us[k])
-    v_star = _mass_end(m, u_star, delta)
-    return Interval(float(u_star), float(v_star))
-
-
 def check_bathtub_optimality(m, x, rng_iv, delta, n_random, seed=0):
     """The level-set window beats every random equal-mass competitor.
 
     Builds the mass-delta super-level interval of i(x; .) inside the
     range and requires its conditional probability given X=x to exceed
-    that of n_random random equal-mass unions, up to 1e-6.
+    that of n_random random equal-mass unions, up to 1e-6. By concavity
+    of i(x; .) the super-level set at the right threshold is an
+    interval: the equal-mass window of largest conditional probability.
     """
     if not isinstance(rng_iv, Interval):
         rng_iv = Interval(*rng_iv)
-    if not rng_iv.is_bounded:
-        raise DomainError("range must be a bounded interval")
-    star = _superlevel_interval(m, x, rng_iv, delta)
+    x = check_number(x, "x")
+    n_random = check_count(n_random, "n_random")
     sn = m.sigma_n
+    star = _mass_window(m, rng_iv, delta, lambda u, v: _phi_diff((u - x) / sn, (v - x) / sn))
     p_star = float(_kernel_prob(star, x, sn))
     rng = np.random.default_rng(seed)
     worst = -math.inf

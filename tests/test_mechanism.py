@@ -83,16 +83,27 @@ class TestConstruction:
                                    conjugate_posterior_mean(1.0, 0.01, ys), rtol=0, atol=1e-12)
 
     def test_panel_floor_above_cap_raises_before_evaluating_the_prior(self):
-        class WidePrior:
-            def support(self, cfg):
-                return (-1.0e4, 1.0e4)
-
+        class WidePrior(GaussianPrior):
             def density(self, x):
                 raise AssertionError("prior evaluated before the panel cap was checked")
 
-        # 2e4 wide at sigma_n = 0.1: 800000 panels, past the 2**16 cap
+        # support +-1e4 at sigma_n = 0.1: 800000 panels, past the 2**16 cap
         with pytest.raises(NumericalError, match="800000"):
-            Mechanism(WidePrior(), 0.1)
+            Mechanism(WidePrior(1.0e3), 0.1)
+
+    def test_prior_outside_the_four_families_rejected(self):
+        class Wrapped:  # duck-typed: support and density, no declared hypotheses
+            inner = GaussianPrior(1.0)
+
+            def support(self, cfg):
+                return self.inner.support(cfg)
+
+            def density(self, x):
+                return self.inner.density(x)
+
+        for bad in (None, "gauss", Wrapped()):
+            with pytest.raises(DomainError, match="GaussianMixturePrior"):
+                Mechanism(bad, 1.0)
 
     def test_windows(self, canonical):
         x_lo, x_hi = canonical.x_window
@@ -119,12 +130,10 @@ class TestMarginal:
         np.testing.assert_allclose(mixture.marginal_density(ys), expected, rtol=1e-9)
 
     def test_gaussian_cdf_closed_form(self, canonical):
-        from gausspml.numerics import std_normal_cdf
-
         sy = math.sqrt(2.0)
         for y in (-4.0, -1.0, 0.0, 0.5, 3.0):
             assert canonical.marginal_cdf(y) == pytest.approx(
-                std_normal_cdf(y / sy), rel=1e-10, abs=1e-12
+                ndtr(y / sy), rel=1e-10, abs=1e-12
             )
 
     def test_quantile_inverts_cdf(self, canonical, slc, mixture):
