@@ -151,11 +151,7 @@ def parse_config(path):
         _require(isinstance(output_path, str) and output_path, "/output_path: expected a non-empty string")
     fmt = obj.get("format", "csv")
     _require(fmt in ("csv", "json"), f"/format: must be csv or json; got {fmt!r}")
-    seed = obj.get("seed", 0)
-    _require(
-        isinstance(seed, int) and not isinstance(seed, bool),
-        "/seed: expected an integer",
-    )
+    seed = check_count(obj.get("seed", 0), "/seed", lo=0)
     return RunConfig(
         prior=prior,
         sigma_n=sigma_n,
@@ -303,7 +299,7 @@ def _resolve(ns):
         command_args=args,
         output_path=ns.out if ns.out is not None else rc.output_path,
         format=ns.format if ns.format is not None else rc.format,
-        seed=ns.seed if ns.seed is not None else rc.seed,
+        seed=check_count(ns.seed, "--seed", lo=0) if ns.seed is not None else rc.seed,
     )
 
 

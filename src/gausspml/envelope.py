@@ -13,14 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, check_count, check_probability
-from .leakage import (
-    FinitePartition,
-    Interval,
-    LeakageNats,
-    _bounded_numerator,
-    interval_leakage,
-    tail_thresholds,
-)
+from .leakage import FinitePartition, Interval, LeakageNats, interval_leakage, tail_thresholds
+from .mechanism import _bounded_numerator
 from .numerics import golden_section_max, refine_max
 from .priors import check_strong_log_concavity
 

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import (
     DomainError,
@@ -21,11 +20,11 @@ from .errors import (
     decode_endpoint,
     encode_endpoint,
 )
+from .mechanism import _bounded_numerator, _kernel_prob
 from .numerics import refine_max
 
 _ORACLE_MIN_POINTS = 4096
 _ORACLE_SPACING = 1 / 400  # in units of sigma_n
-_SQRT2 = math.sqrt(2.0)
 
 
 class LeakageNats(float):
@@ -131,44 +130,9 @@ class FinitePartition:
 # -- event masses -------------------------------------------------------
 
 
-def _phi_diff(za, zb):
-    """Phi(zb) - Phi(za) for za <= zb, elementwise and cancellation-free.
-
-    The difference is taken on whichever side of zero keeps both terms
-    small (Phi(zb) - Phi(za) = Phi(-za) - Phi(-zb)), so it stays
-    relatively accurate deep in either tail.
-    """
-    flip = za + zb > 0.0
-    return _sp.ndtr(np.where(flip, -za, zb)) - _sp.ndtr(np.where(flip, -zb, za))
-
-
-def _kernel_prob(iv, x, sigma_n):
-    """P(Y in iv | X=x) under the noise kernel, for an array of x."""
-    if math.isinf(iv.lo):
-        return _sp.ndtr((iv.hi - x) / sigma_n)
-    if math.isinf(iv.hi):
-        return _sp.ndtr((x - iv.lo) / sigma_n)
-    return np.maximum(_phi_diff((iv.lo - x) / sigma_n, (iv.hi - x) / sigma_n), 0.0)
-
-
-def _bounded_numerator(length, sigma_n):
-    """sup_x P(Y in (a, a+length) | X=x) = 2 Phi(length/(2 sigma_n)) - 1.
-
-    The supremum is attained by the secret at the interval's midpoint.
-    """
-    return _sp.erf(length / (2.0 * sigma_n * _SQRT2))
-
-
-def _cell_mass(m, iv):
-    """P_Y(iv) by quadrature over the prior, cancellation-free."""
-    if iv.is_full_line:
-        return 1.0
-    return float(_kernel_prob(iv, m._xs, m.sigma_n) @ m._wfx)
-
-
 def event_mass(m, intervals):
     """Total output mass of a disjoint interval union."""
-    return sum(_cell_mass(m, iv) for iv in intervals)
+    return sum(m._mass(iv) for iv in intervals)
 
 
 def _conditional_union_prob(m, union, x):
@@ -194,7 +158,7 @@ def interval_leakage(m, iv):
         return LeakageNats(0.0)
     if iv.lo == iv.hi:
         raise DomainError("degenerate interval has no leakage value")
-    mass = _cell_mass(m, iv)
+    mass = m._mass(iv)
     if mass <= 0.0:
         raise DomainError(f"interval ({iv.lo!r}, {iv.hi!r}) carries no output mass")
     if iv.has_tail:
@@ -261,7 +225,7 @@ def validate_partition(m, part):
     for left, right in zip(cells, cells[1:]):
         if abs(right.lo - left.hi) > tol:
             raise DomainError(f"gap between cells at {left.hi!r}")
-    masses = np.array([_cell_mass(m, c) for c in cells])
+    masses = np.array([m._mass(c) for c in cells])
     total = float(masses.sum())
     if abs(total - 1.0) > 1e-9 + 2e-9 * scale:
         raise DomainError(f"cell masses sum to {total!r}, expected 1")

@@ -3,9 +3,11 @@
 Everything downstream (leakage, envelopes, verification) queries this
 object. Every marginal and posterior quantity is a sum of the Gaussian
 noise kernel against the prior's quadrature nodes, computed by the one
-banded reduction `_kernel_reduce`. Construction tabulates f_Y, f_Y'
-and F_Y on the y grid; the instance is immutable afterwards and all
-queries are safe to run concurrently.
+banded reduction `_kernel_reduce`; event masses are kernel probabilities
+summed by `Mechanism._mass`. This module alone holds the nodes and the
+kernel's special functions. Construction tabulates f_Y, f_Y' and F_Y on
+the y grid; the instance is immutable afterwards and all queries are
+safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import DomainError, NumericalError, check_number, check_probability
-from .numerics import DEFAULT_CONFIG, QuadratureConfig, find_root_increasing
+from .numerics import DEFAULT_CONFIG, QuadratureConfig, _simpson_nodes, find_root_increasing
 from .priors import check_prior
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_SQRT2 = math.sqrt(2.0)
 _CHUNK = 128  # rows per kernel block; a block spans a few sigma_n on the default grid
 _MAX_PANELS = 2**16  # largest panel count the noise scale may force on a prior
 _TILE = 64  # nodes per pairwise partial sum of F_Y (see _kernel_reduce)
@@ -137,14 +140,48 @@ def _kernel_reduce(ys, xs, wfx, tile_cdf, sigma_n, terms):
     return tuple(out.reshape((len(terms),) + arr.shape))
 
 
-def _simpson_nodes(lo, hi, panels):
-    """Composite Simpson nodes and weights on [lo, hi]."""
-    n = panels + (panels % 2)
-    x = np.linspace(lo, hi, n + 1)
-    w = np.full(n + 1, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return x, w * ((hi - lo) / n / 3.0)
+def _phi_diff(za, zb):
+    """Phi(zb) - Phi(za) for za <= zb, elementwise and cancellation-free.
+
+    The difference is taken on whichever side of zero keeps both terms
+    small (Phi(zb) - Phi(za) = Phi(-za) - Phi(-zb)), so it stays
+    relatively accurate deep in either tail.
+    """
+    flip = za + zb > 0.0
+    return _sp.ndtr(np.where(flip, -za, zb)) - _sp.ndtr(np.where(flip, -zb, za))
+
+
+def _kernel_prob(iv, x, sigma_n):
+    """P(Y in iv | X=x) under the noise kernel, for an interval iv and array x."""
+    if math.isinf(iv.lo):
+        return _sp.ndtr((iv.hi - x) / sigma_n)
+    if math.isinf(iv.hi):
+        return _sp.ndtr((x - iv.lo) / sigma_n)
+    return np.maximum(_phi_diff((iv.lo - x) / sigma_n, (iv.hi - x) / sigma_n), 0.0)
+
+
+def _bounded_numerator(length, sigma_n):
+    """sup_x P(Y in (a, a+length) | X=x) = 2 Phi(length/(2 sigma_n)) - 1.
+
+    The supremum is attained by the secret at the interval's midpoint.
+    """
+    return _sp.erf(length / (2.0 * sigma_n * _SQRT2))
+
+
+def _node_weights(w, fx):
+    """Prior weights w * fx on the nodes, normalized to sum to 1.
+
+    A sum that is not finite and positive raises NumericalError.
+    """
+    wfx = w * np.asarray(fx, dtype=float)
+    mass = float(wfx.sum())
+    if not (math.isfinite(mass) and mass > 0.0):
+        raise NumericalError(
+            f"prior mass on the quadrature nodes is {mass!r}",
+            operation="mechanism construction",
+            last_estimate=mass,
+        )
+    return wfx / mass
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +197,8 @@ class Mechanism:
     else raises DomainError). Its Simpson rule takes cfg.panel_count
     panels, or more when that leaves nodes farther apart than
     sigma_n / 4; a noise scale that would need more than 2**16 panels
-    raises NumericalError.
+    raises NumericalError. The prior's weights on the nodes are
+    normalized to sum to 1, so the prior is integrated by this one rule.
     """
 
     prior: object
@@ -184,15 +222,7 @@ class Mechanism:
             )
         panels = max(self.cfg.panel_count, floor)
         xs, wts = _simpson_nodes(x_lo, x_hi, panels)
-        fx = np.asarray(self.prior.density(xs), dtype=float)
-        wfx = wts * fx
-        mass = float(wfx.sum())
-        if abs(mass - 1.0) > 1e-7:
-            raise NumericalError(
-                f"prior mass over the truncation window is {mass:.12g}, expected 1",
-                operation="mechanism construction",
-                last_estimate=mass,
-            )
+        wfx = _node_weights(wts, self.prior.density(xs))
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_wfx", wfx)
         object.__setattr__(self, "_nodes", _tiled(xs, wfx))
@@ -221,12 +251,12 @@ class Mechanism:
 
         # resolution probe: the marginal from a rule twice as fine must agree
         xs2, wts2 = _simpson_nodes(x_lo, x_hi, 2 * panels)
-        wfx2 = wts2 * np.asarray(self.prior.density(xs2), dtype=float)
+        wfx2 = _node_weights(wts2, self.prior.density(xs2))
         probe = np.linspace(grid[0], grid[-1], 9)
         (f2,) = _kernel_reduce(probe, *_tiled(xs2, wfx2), sn, ("f",))
         (f1,) = self._reduce(probe, ("f",))
         err = float(np.max(np.abs(f1 - f2)))
-        if err > 10.0 * self.cfg.abs_tol:
+        if not err <= 10.0 * self.cfg.abs_tol:  # NaN fails too
             raise NumericalError(
                 f"marginal density unconverged at panel_count={panels} "
                 f"(refinement moves it by {err:.3g})",
@@ -270,6 +300,23 @@ class Mechanism:
                 f"marginal density underflows at y={bad!r}; outside the working window"
             )
         return out
+
+    def _mass(self, iv):
+        """P_Y(iv) for an interval iv (with lo, hi), cancellation-free.
+
+        A bounded interval sums only the nodes within -_Z_ZERO sigma_n of
+        it: the kernel probability of every node farther out is the
+        difference of two exact zeros (see _phi_diff).
+        """
+        lo, hi = iv.lo, iv.hi
+        if math.isinf(lo) and math.isinf(hi):
+            return 1.0
+        xs, wfx = self._xs, self._wfx
+        if math.isfinite(lo) and math.isfinite(hi):
+            reach = -_Z_ZERO * self.sigma_n
+            i0, i1 = xs.searchsorted((lo - reach, hi + reach)).tolist()
+            xs, wfx = xs[i0:i1], wfx[i0:i1]
+        return float(_kernel_prob(iv, xs, self.sigma_n) @ wfx)
 
     def marginal_density(self, y):
         """f_Y(y); scalar in, scalar out."""

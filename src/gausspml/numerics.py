@@ -1,13 +1,14 @@
 """Special functions, quadrature, root finding and maximization.
 
 Everything downstream is built on the operations here: the standard
-normal density, adaptive Simpson integration, the package's one root
-finder (safeguarded Newton with a bisection fallback, written here so
-that no scipy.optimize import is paid), and its one maximizer:
-refine_max scans a grid, brackets the scan argmax by its two neighbours
-and polishes it by golden section, keeping the scan value when the
-polish lands lower. All logarithms in this package are natural logs;
-leakage values are nats.
+normal density, the package's one quadrature rule (composite Simpson
+nodes and weights, which integrate() and Mechanism both sum against),
+its one root finder (safeguarded Newton with a bisection fallback,
+written here so that no scipy.optimize import is paid), and its one
+maximizer: refine_max scans a grid, brackets the scan argmax by its two
+neighbours and polishes it by golden section, keeping the scan value
+when the polish lands lower. All logarithms in this package are natural
+logs; leakage values are nats.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ _GOLDEN_MAX_ITER = 200
 class QuadratureConfig:
     """Truncation window, panel budget, and target accuracy for quadrature.
 
-    truncation_halfwidth is in standardized units: infinite endpoints are
-    mapped to +-truncation_halfwidth, and priors/mechanisms scale it by
-    their own spread.  With the default 10, the discarded Gaussian mass
-    is ~1.5e-23, far below every tolerance in the package.
+    truncation_halfwidth is in standardized units: priors and mechanisms
+    scale it by their own spread to get a finite window. With the
+    default 10, the discarded Gaussian mass is ~1.5e-23, far below every
+    tolerance in the package.
     """
 
     truncation_halfwidth: float = 10.0
@@ -63,52 +64,42 @@ def std_normal_pdf(x):
     return np.exp(-0.5 * arr * arr - _LOG_SQRT_2PI)
 
 
-def _simpson(f, a, b, n):
-    # n panels (even); callers guarantee n is even and a < b
-    x = np.linspace(a, b, n + 1)
-    fx = np.asarray(f(x), dtype=float)
-    if fx.shape != x.shape:
-        raise DomainError("integrand must map an ndarray to an ndarray of the same shape")
-    if not np.all(np.isfinite(fx)):
-        raise DomainError("integrand returned non-finite values")
-    h = (b - a) / n
-    s = fx[0] + fx[-1] + 4.0 * np.sum(fx[1:-1:2]) + 2.0 * np.sum(fx[2:-1:2])
-    return s * h / 3.0
+def _simpson_nodes(lo, hi, panels):
+    """Composite Simpson nodes and weights on [lo, hi], panels rounded up to even."""
+    n = panels + (panels % 2)
+    x = np.linspace(lo, hi, n + 1)
+    w = np.full(n + 1, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return x, w * ((hi - lo) / n / 3.0)
 
 
 def integrate(f, a, b, cfg=DEFAULT_CONFIG):
-    """Adaptive composite Simpson integral of a vectorized integrand.
+    """Composite Simpson integral of a vectorized integrand on finite [a, b].
 
-    Infinite endpoints are mapped to +-cfg.truncation_halfwidth.  The
-    panel count doubles until two successive estimates differ by less
-    than cfg.abs_tol; failure to converge raises NumericalError carrying
-    the last estimate.
+    The panel count starts at cfg.panel_count and doubles until two
+    successive estimates differ by less than cfg.abs_tol; failure to
+    converge raises NumericalError carrying the last estimate.
     """
-    a = float(a)
-    b = float(b)
-    if math.isnan(a) or math.isnan(b):
-        raise DomainError("integration endpoints must not be NaN")
-    if a == -math.inf:
-        a = -cfg.truncation_halfwidth
-    if b == math.inf:
-        b = cfg.truncation_halfwidth
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("endpoints +inf for a or -inf for b are not supported")
+    a, b = check_number(a, "a"), check_number(b, "b")
     if a > b:
         raise DomainError("integration requires a <= b")
-    if a == b:
-        return 0.0
-    n = start_n = cfg.panel_count + (cfg.panel_count % 2)
-    prev = _simpson(f, a, b, n)
-    for _ in range(_MAX_DOUBLINGS):
-        n *= 2
-        cur = _simpson(f, a, b, n)
-        if abs(cur - prev) < cfg.abs_tol:
+    start = cfg.panel_count + (cfg.panel_count % 2)
+    prev = None
+    for n in (start << k for k in range(_MAX_DOUBLINGS + 1)):
+        x, w = _simpson_nodes(a, b, n)
+        fx = np.asarray(f(x), dtype=float)
+        if fx.shape != x.shape:
+            raise DomainError("integrand must map an ndarray to an ndarray of the same shape")
+        if not np.all(np.isfinite(fx)):
+            raise DomainError("integrand returned non-finite values")
+        cur = float(w @ fx)
+        if prev is not None and abs(cur - prev) < cfg.abs_tol:
             return cur
         prev = cur
     raise NumericalError(
         f"quadrature did not converge to abs_tol={cfg.abs_tol} "
-        f"between {start_n} and {n} panels",
+        f"between {start} and {n} panels",
         operation="integrate",
         last_estimate=prev,
     )

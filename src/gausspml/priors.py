@@ -52,8 +52,11 @@ class _Prior:
 
     def log_z(self, cfg=DEFAULT_CONFIG):
         if cfg not in self._z_cache:
-            self._z_cache[cfg] = math.log(self.normalization_constant(cfg))
+            self._z_cache[cfg] = self._log_z(cfg)
         return self._z_cache[cfg]
+
+    def _log_z(self, cfg):
+        return math.log(self.normalization_constant(cfg))
 
     def density(self, x):
         return np.exp(self.log_pdf(x))
@@ -106,8 +109,9 @@ class StronglyLogConcavePrior(_Prior):
 
     beta-strongly log-concave by construction: theta''(x) = 1/beta^2 +
     c(p-1)|x|^(p-2) >= 1/beta^2 wherever theta is twice differentiable.
-    For 1 <= p < 2 the perturbation is convex but not C^2 at 0;
-    curvature checks skip a symmetric 1e-6 neighborhood of the origin.
+    For 1 <= p < 2 the perturbation is convex but not C^2 at 0, where
+    theta_second returns +inf (p > 1) or the floor (p = 1), so the origin
+    never lowers a curvature minimum.
     """
 
     beta: float
@@ -252,8 +256,14 @@ class GridPrior(_Prior):
         return arr
 
     def normalization_constant(self, cfg=DEFAULT_CONFIG):
+        return float(np.exp(self.log_z(cfg)))  # inf past the double range
+
+    def _log_z(self, cfg):
+        # relative to the table's peak, so no offset of log_density under- or overflows
+        peak = max(self.log_density)
         lo, hi = self.support(cfg)
-        return integrate(lambda x: np.exp(self._log_pdf_unnorm(x)), lo, hi, cfg)
+        z = integrate(lambda x: np.exp(self._log_pdf_unnorm(x) - peak), lo, hi, cfg)
+        return peak + math.log(z)
 
     def _log_pdf_unnorm(self, x):
         arr = self._check_window(x)
@@ -263,6 +273,8 @@ class GridPrior(_Prior):
         return self._log_pdf_unnorm(x) - self.log_z()
 
     def theta_second(self, x):
+        if len(self.xs) < 3:
+            raise DomainError("grid prior needs at least 3 points for curvature checks")
         # central finite differences on -log f; step balances truncation vs
         # cancellation at the grid's ~1e-8 density accuracy
         arr = self._check_window(x)
@@ -289,15 +301,9 @@ class LogConcavityReport:
 def check_strong_log_concavity(prior, beta_claim, grid):
     """Grid check of theta'' >= 1/beta_claim^2 (within 1e-6 slack)."""
     beta_claim = check_number(beta_claim, "beta_claim", positive=True)
-    if isinstance(prior, GridPrior) and len(prior.xs) < 3:
-        raise DomainError("grid prior needs at least 3 points for curvature checks")
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise DomainError("grid must be a non-empty 1-d array")
-    if isinstance(prior, StronglyLogConcavePrior) and prior.c > 0.0 and prior.p < 2.0:
-        grid = grid[np.abs(grid) > 1e-6]  # theta not C^2 at 0 for p < 2
-        if grid.size == 0:
-            raise DomainError("grid contains no points outside the excluded origin neighborhood")
     theta2 = np.asarray(prior.theta_second(grid), dtype=float)
     k = int(np.argmin(theta2))
     min_val = float(theta2[k])

@@ -15,16 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError, check_count, check_number, check_probability
-from .leakage import (
-    Interval,
-    _bounded_numerator,
-    _cell_mass,
-    _kernel_prob,
-    _mass_window,
-    _phi_diff,
-    interval_leakage,
-    set_leakage_oracle,
-)
+from .leakage import Interval, _mass_window, interval_leakage, set_leakage_oracle
+from .mechanism import _bounded_numerator, _kernel_prob, _phi_diff
 
 _MAX_UNION_INTERVALS = 4  # random unions have 1 to this many intervals
 
@@ -73,7 +65,7 @@ def _union_sampler(m, window=None):
             k = int(rng.integers(1, _MAX_UNION_INTERVALS + 1))
             pts = np.sort(rng.uniform(win_lo, win_hi, size=2 * k))
             cells = [Interval(float(pts[2 * i]), float(pts[2 * i + 1])) for i in range(k)]
-            base = sum(_cell_mass(m, c) for c in cells[:-1])
+            base = sum(m._mass(c) for c in cells[:-1])
             need = target - base
             if need <= 1e-12:
                 continue
@@ -87,7 +79,7 @@ def _union_sampler(m, window=None):
             if new_hi <= cells[-1].lo or new_hi > win_hi:
                 continue
             cells[-1] = Interval(cells[-1].lo, float(new_hi))
-            got = base + _cell_mass(m, cells[-1])
+            got = base + m._mass(cells[-1])
             if abs(got - target) <= 1e-6:
                 return cells
         raise NumericalError(
@@ -105,9 +97,14 @@ def _monotone_from(m):
     """(a0, message): interval leakage is claimed increasing for a > a0.
 
     a0 is 0 for a Gaussian prior with sigma_x^2 <= 3 sigma_n^2, else the
-    unimodal tail threshold M; raises DomainError when M is unknown.
+    unimodal tail threshold M. Raises DomainError for a Gaussian prior
+    outside that ratio, where no monotonicity is claimed, and when M is
+    unknown.
     """
-    if m.prior.gaussian_ratio_ok(m.sigma_n):
+    ratio_ok = m.prior.gaussian_ratio_ok(m.sigma_n)
+    if ratio_ok is False:
+        raise DomainError("monotone only for a Gaussian prior with sigma_x^2 <= 3 sigma_n^2")
+    if ratio_ok:
         return 0.0, "a must be positive for the Gaussian in-regime check"
     M = m.unimodal_tail_threshold()
     if M is None:
@@ -123,7 +120,7 @@ def check_concavity_identity(m, n_samples, seed=0):
     (concavity) at every sampled point.
     """
     n_samples = check_count(n_samples, "n_samples")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count(seed, "seed", lo=0))
     x_lo, x_hi = m.x_window
     span = x_hi - x_lo
     xs = rng.uniform(x_lo + 0.2 * span, x_hi - 0.2 * span, n_samples)
@@ -208,7 +205,7 @@ def check_tail_worst_bound(m, delta, n_random_sets, seed=0):
     """
     delta = check_probability(delta, "delta")
     n_random_sets = check_count(n_random_sets, "n_random_sets")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count(seed, "seed", lo=0))
     bound = math.log(1.0 / delta)
     t_l = m.marginal_quantile(delta)
     t_r = m.marginal_quantile(1.0 - delta)
@@ -249,7 +246,7 @@ def check_bathtub_optimality(m, x, rng_iv, delta, n_random, seed=0):
     sn = m.sigma_n
     star = _mass_window(m, rng_iv, delta, lambda u, v: _phi_diff((u - x) / sn, (v - x) / sn))
     p_star = float(_kernel_prob(star, x, sn))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count(seed, "seed", lo=0))
     worst = -math.inf
     worst_loc = None
     draw = _union_sampler(m, window=(rng_iv.lo, rng_iv.hi))
@@ -352,7 +349,7 @@ def run_suite(m, suite="all", seed=0):
             )
     if not names:
         raise DomainError("suite selects no checks")
-    thunks = _suite_thunks(m, seed)
+    thunks = _suite_thunks(m, check_count(seed, "seed", lo=0))
 
     def run_one(name):
         try:

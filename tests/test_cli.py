@@ -421,6 +421,42 @@ class TestFlagOverrides:
         assert "seed 100" in out_flag_seed
         assert out_cfg_seed != out_flag_seed
 
+    def test_negative_seed_is_a_config_error(self, capsys, tmp_path):
+        for argv in (("verify", "--seed", "-5"),
+                     ("verify", "--suite", "tail_worst_bound", "--seed", "-3")):
+            code, out, err = _run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "pml: config error: --seed: must be an integer >= 0" in err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prior": {"type": "gaussian", "sigma_x": 1.0},
+                                   "sigma_n": 1.0, "command": "verify", "seed": -1}))
+        code, out, err = _run(capsys, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "/seed: must be an integer >= 0" in err
+
+    def test_grid_log_density_offset(self, capsys, tmp_path):
+        outs = []
+        for offset in (-800, 0, 800):
+            cfg = tmp_path / f"grid{offset}.json"
+            prior = {"type": "grid", "xs": [0, 1, 2],
+                     "log_density": [offset, offset, offset - 1]}
+            cfg.write_text(json.dumps({"prior": prior, "sigma_n": 1.0}))
+            code, out, err = _run(capsys, "posterior", "--config", str(cfg), "--y-grid", "0:2:0.5")
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_wide_gaussian_verify_exits_zero(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prior": {"type": "gaussian", "sigma_x": 2.0},
+                                   "sigma_n": 1.0}))
+        code, out, _ = _run(capsys, "verify", "--config", str(cfg), "--suite",
+                            "interval_monotonicity", "--format", "json")
+        assert code == 0
+        (rec,) = json.loads(out)
+        assert rec["passed"] is True
+        assert "sigma_x^2 <= 3 sigma_n^2" in rec["details"]
+
     def test_config_before_or_after_subcommand(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(

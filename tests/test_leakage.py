@@ -23,7 +23,8 @@ from gausspml import (
     validate_partition,
     worst_interval_search,
 )
-from gausspml.leakage import _kernel_prob, _mass_end, _mass_end_table, _phi_diff
+from gausspml.leakage import _mass_end, _mass_end_table
+from gausspml.mechanism import _kernel_prob, _phi_diff
 from oracles import trapz_interval_mass
 
 INF = math.inf

@@ -17,11 +17,13 @@ from gausspml import (
     GaussianMixturePrior,
     GaussianPrior,
     GridPrior,
+    Interval,
     Mechanism,
     NumericalError,
     PreconditionError,
     QuadratureConfig,
     StronglyLogConcavePrior,
+    check_brascamp_lieb_bound,
 )
 from oracles import (
     conjugate_posterior_mean,
@@ -90,6 +92,45 @@ class TestConstruction:
         # support +-1e4 at sigma_n = 0.1: 800000 panels, past the 2**16 cap
         with pytest.raises(NumericalError, match="800000"):
             Mechanism(WidePrior(1.0e3), 0.1)
+
+    @pytest.mark.parametrize("value", [0.0, math.nan, math.inf])
+    def test_node_mass_must_be_finite_and_positive(self, value):
+        class Broken(GaussianPrior):
+            def density(self, x):
+                return np.full(np.shape(x), value)
+
+        with pytest.raises(NumericalError, match="prior mass on the quadrature nodes"):
+            Mechanism(Broken(1.0), 1.0)
+
+    @pytest.mark.parametrize("fixture", ["canonical", "wide_gaussian", "slc", "mixture",
+                                         "oscillating"])
+    def test_prior_normalized_on_the_nodes(self, fixture, request):
+        m = request.getfixturevalue(fixture)
+        assert math.fsum(m._wfx) == pytest.approx(1.0, rel=0, abs=1e-15)
+
+    def test_slc_with_a_kink_at_the_default_config(self):
+        # theta = x^2/4.5 + 2|x|^2.5/2.5 has a singular third derivative at 0;
+        # the default rule resolves it, checked against a rule 16 times finer
+        prior = StronglyLogConcavePrior(1.5, 2.0, 2.5)
+        m = Mechanism(prior, 1.0)
+        ref = Mechanism(prior, 1.0, QuadratureConfig(panel_count=32768),
+                        y_grid=np.linspace(-30.0, 30.0, 64))
+        ys = np.linspace(-10.0, 10.0, 41)
+        np.testing.assert_allclose(m.marginal_density(ys), ref.marginal_density(ys),
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(m.marginal_cdf(ys), ref.marginal_cdf(ys), rtol=0, atol=1e-9)
+        ys = np.linspace(-5.0, 5.0, 21)
+        np.testing.assert_allclose(m.posterior_mean(ys), ref.posterior_mean(ys),
+                                   rtol=0, atol=1e-8)
+        np.testing.assert_allclose(m.posterior_variance(ys), ref.posterior_variance(ys),
+                                   rtol=0, atol=1e-8)
+
+    def test_slc_with_a_sharper_kink_names_the_panel_count(self):
+        prior = StronglyLogConcavePrior(1.0, 1.0, 1.5)
+        with pytest.raises(NumericalError, match="unconverged at panel_count=2048"):
+            Mechanism(prior, 1.0)
+        m = Mechanism(prior, 1.0, QuadratureConfig(panel_count=8192))
+        assert check_brascamp_lieb_bound(m).passed
 
     def test_prior_outside_the_four_families_rejected(self):
         class Wrapped:  # duck-typed: support and density, no declared hypotheses
@@ -310,6 +351,38 @@ class TestKernelBand:
         assert exp_share <= 0.10
 
 
+class TestIntervalMass:
+    INTERVALS = ((-0.3, 0.4), (-5.5, -5.0), (2.0, 2.001), (-0.05, 0.05), (4.0, 9.0))
+
+    @staticmethod
+    def _full_sum(m, iv):
+        return float(mechanism._kernel_prob(iv, m._xs, m.sigma_n) @ m._wfx)
+
+    def test_bit_equal_where_the_band_covers_every_node(self, canonical):
+        for lo, hi in self.INTERVALS + ((-math.inf, 0.5), (0.5, math.inf)):
+            iv = Interval(lo, hi)
+            assert canonical._mass(iv) == self._full_sum(canonical, iv)
+        assert canonical._mass(Interval(-math.inf, math.inf)) == 1.0
+
+    @pytest.mark.parametrize("build", ["high_snr", "oscillating"])
+    def test_banded_sum_matches_the_full_sum(self, build, request):
+        m = (Mechanism(GaussianPrior(1.0), 0.01) if build == "high_snr"
+             else request.getfixturevalue(build))
+        reach = -mechanism._Z_ZERO * m.sigma_n
+        # the last: 35 to 36 sigma_n past the nodes, a tiny but nonzero mass
+        edge = float(m._xs[-1]) / m.sigma_n
+        far = ((edge + 35.0) * m.sigma_n, (edge + 36.0) * m.sigma_n)
+        for lo, hi in self.INTERVALS + (far,):
+            iv = Interval(lo, hi)
+            full = self._full_sum(m, iv)
+            assert full > 0.0
+            assert abs(m._mass(iv) - full) <= 8.0 * np.spacing(full)
+            # the skipped nodes contribute exact zeros
+            out = (m._xs < lo - reach) | (m._xs > hi + reach)
+            assert out.any()
+            assert np.all(mechanism._kernel_prob(iv, m._xs[out], m.sigma_n) == 0.0)
+
+
 class TestMonotoneCdf:
     @pytest.mark.parametrize("fixture", ["canonical", "wide_gaussian", "slc", "mixture",
                                          "oscillating"])
@@ -403,6 +476,20 @@ class TestUnimodalTailThreshold:
 
     def test_oscillating_not_certifiable(self, oscillating):
         assert oscillating.unimodal_tail_threshold() is None
+
+
+def test_only_mechanism_holds_the_nodes_and_scipy():
+    # every kernel sum and special function goes through mechanism.py
+    import re
+
+    pkg = os.path.dirname(mechanism.__file__)
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py") or name == "mechanism.py":
+            continue
+        with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+            text = fh.read()
+        assert not re.search(r"\._(xs|wfx)\b", text), name
+        assert not re.search(r"^\s*(from|import)\s+scipy\b", text, re.M), name
 
 
 def test_import_leaves_scipy_interpolate_unloaded():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gausspml import DomainError, NumericalError, QuadratureConfig
-from gausspml.leakage import _bounded_numerator
+from gausspml.mechanism import _bounded_numerator
 from gausspml.numerics import (
     find_root_increasing,
     golden_section_max,
@@ -45,13 +45,14 @@ class TestIntegrate:
         val = integrate(std_normal_pdf, -8.0, 8.0)
         assert val == pytest.approx(1.0 - 2 * (1 - normal_cdf_oracle(8.0)), rel=1e-12)
 
-    def test_infinite_endpoints_truncated(self):
-        val = integrate(std_normal_pdf, -math.inf, math.inf)
-        assert val == pytest.approx(1.0, abs=1e-12)
-
     def test_reversed_endpoints_rejected(self):
         with pytest.raises(DomainError):
             integrate(std_normal_pdf, 1.0, -1.0)
+
+    @pytest.mark.parametrize("a, b", [(-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0)])
+    def test_endpoints_must_be_finite(self, a, b):
+        with pytest.raises(DomainError, match="must be finite"):
+            integrate(std_normal_pdf, a, b)
 
     def test_unresolvable_integrand_raises(self):
         cfg = QuadratureConfig(panel_count=256, abs_tol=1e-14)

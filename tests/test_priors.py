@@ -75,6 +75,17 @@ class TestStronglyLogConcavePrior:
         report = check_strong_log_concavity(prior, 1.0, np.linspace(-2.0, 2.0, 401))
         assert report.holds  # extra |x|^{p-2} term only adds curvature
 
+    def test_origin_is_never_the_curvature_minimum(self):
+        # theta'' is +inf at 0 for 1 < p < 2 and finite elsewhere
+        for p in (1.2, 1.5, 1.9):
+            prior = StronglyLogConcavePrior(1.0, 1.0, p)
+            report = check_strong_log_concavity(prior, 1.0, np.linspace(-2.0, 2.0, 401))
+            assert report.argmin in (-2.0, 2.0)
+            assert report.min_theta_second == pytest.approx(1.0 + (p - 1.0) * 2.0 ** (p - 2.0))
+        only_origin = check_strong_log_concavity(
+            StronglyLogConcavePrior(1.0, 1.0, 1.5), 1.0, np.array([0.0]))
+        assert only_origin.min_theta_second == math.inf
+
     def test_normalization_decay_guard(self):
         # beta so large the mass cannot fit a halfwidth-8 window of its
         # own scale is not constructible here; instead shrink the window
@@ -168,6 +179,24 @@ class TestGridPrior:
         right = float(prior.log_pdf(1.5)) - float(prior.log_pdf(1.0))
         assert left == pytest.approx(-1.0, abs=1e-12)
         assert right == pytest.approx(-1.0, abs=1e-12)
+
+    def test_log_density_offset_cancels(self):
+        # log Z is taken relative to the table's peak, so a huge offset
+        # neither underflows Z to 0 nor overflows it
+        xs = np.linspace(-3.0, 3.0, 301)
+        base = GridPrior(tuple(xs), tuple(-0.5 * xs**2))
+        probe = np.linspace(-2.5, 2.5, 11)
+        for offset in (-800.0, 800.0):
+            shifted = GridPrior(tuple(xs), tuple(-0.5 * xs**2 + offset))
+            assert shifted.log_z() == pytest.approx(base.log_z() + offset, rel=1e-15)
+            np.testing.assert_allclose(shifted.density(probe), base.density(probe), rtol=1e-12)
+
+    def test_curvature_needs_three_points(self):
+        prior = GridPrior((0.0, 1.0), (0.0, -1.0))
+        with pytest.raises(DomainError, match="at least 3 points"):
+            prior.theta_second(0.5)
+        with pytest.raises(DomainError, match="at least 3 points"):
+            check_strong_log_concavity(prior, 1.0, np.array([0.5]))
 
     @pytest.mark.parametrize(
         "xs, logd",

@@ -63,6 +63,15 @@ class TestIntervalMonotonicity:
         r = check_interval_monotonicity(mixture, 2.5, 2.5 + 8.0 * mixture.sigma_y, 400)
         assert r.passed
 
+    def test_gaussian_outside_the_ratio_not_applicable(self, wide_gaussian):
+        # sigma_x^2 = 4 > 3 sigma_n^2: no monotonicity is claimed, and the
+        # check would fail (min u(b) = -0.00281) if it ran
+        with pytest.raises(DomainError, match="sigma_x\\^2 <= 3 sigma_n\\^2"):
+            check_interval_monotonicity(wide_gaussian, 5.0, 40.0, 100)
+        (r,) = run_suite(wide_gaussian, "interval_monotonicity")
+        assert r.passed and r.details.startswith("not applicable")
+        assert "sigma_x^2 <= 3 sigma_n^2" in r.details
+
     def test_short_grid_skips_limit_condition(self, canonical):
         # b_max below a + 8 sigma_y: only positivity and monotonicity apply
         r = check_interval_monotonicity(canonical, 0.5, 3.0, 200)
@@ -176,6 +185,18 @@ class TestRunSuite:
             "concavity_identity",
             "brascamp_lieb_bound",
         ]
+
+    def test_negative_seed_rejected(self, canonical):
+        checks = (
+            lambda: run_suite(canonical, seed=-5),
+            lambda: run_suite(canonical, "tail_worst_bound", seed=-3),
+            lambda: check_concavity_identity(canonical, 10, seed=-1),
+            lambda: check_tail_worst_bound(canonical, 0.1, 1, seed=-1),
+            lambda: check_bathtub_optimality(canonical, 0.0, Interval(-1.0, 1.0), 0.1, 1, seed=-1),
+        )
+        for call in checks:
+            with pytest.raises(DomainError, match="seed: must be an integer >= 0"):
+                call()
 
     def test_unknown_name_rejected(self, canonical):
         with pytest.raises(DomainError):
