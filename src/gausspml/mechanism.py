@@ -28,6 +28,9 @@ _SQRT2 = math.sqrt(2.0)
 _CHUNK = 128  # rows per kernel block; a block spans a few sigma_n on the default grid
 _MAX_PANELS = 2**16  # largest panel count the noise scale may force on a prior
 _TILE = 64  # nodes per pairwise partial sum of F_Y (see _kernel_reduce)
+# largest |raw node sum - 1| of the prior (see _node_weights); a kinked
+# strongly log-concave prior such as SLC(1, 1, 1.1) misses by 5e-7
+_MASS_TOL = 1e-6
 
 # Past these standardized distances z = (y - x)/sigma_n a kernel entry is an
 # exact double constant, so _kernel_reduce never evaluates it: ndtr(z) == 1.0
@@ -168,16 +171,20 @@ def _bounded_numerator(length, sigma_n):
     return _sp.erf(length / (2.0 * sigma_n * _SQRT2))
 
 
-def _node_weights(w, fx):
+def _node_weights(w, fx, panels):
     """Prior weights w * fx on the nodes, normalized to sum to 1.
 
-    A sum that is not finite and positive raises NumericalError.
+    The prior's density is normalized by integrate on the same window,
+    so the raw sum misses 1 only by quadrature error. A sum farther than
+    _MASS_TOL from 1, or not finite, raises NumericalError: the nodes
+    miss prior mass, e.g. a component narrower than their spacing.
     """
     wfx = w * np.asarray(fx, dtype=float)
     mass = float(wfx.sum())
-    if not (math.isfinite(mass) and mass > 0.0):
+    if not abs(mass - 1.0) <= _MASS_TOL:  # NaN fails too
         raise NumericalError(
-            f"prior mass on the quadrature nodes is {mass!r}",
+            f"prior mass on the quadrature nodes is {mass!r} at panel_count={panels}, "
+            "expected 1",
             operation="mechanism construction",
             last_estimate=mass,
         )
@@ -198,7 +205,8 @@ class Mechanism:
     panels, or more when that leaves nodes farther apart than
     sigma_n / 4; a noise scale that would need more than 2**16 panels
     raises NumericalError. The prior's weights on the nodes are
-    normalized to sum to 1, so the prior is integrated by this one rule.
+    normalized to sum to 1, so the prior is integrated by this one rule;
+    a raw sum farther than 1e-6 from 1 raises NumericalError.
     """
 
     prior: object
@@ -222,7 +230,7 @@ class Mechanism:
             )
         panels = max(self.cfg.panel_count, floor)
         xs, wts = _simpson_nodes(x_lo, x_hi, panels)
-        wfx = _node_weights(wts, self.prior.density(xs))
+        wfx = _node_weights(wts, self.prior.density(xs), panels)
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_wfx", wfx)
         object.__setattr__(self, "_nodes", _tiled(xs, wfx))
@@ -251,7 +259,7 @@ class Mechanism:
 
         # resolution probe: the marginal from a rule twice as fine must agree
         xs2, wts2 = _simpson_nodes(x_lo, x_hi, 2 * panels)
-        wfx2 = _node_weights(wts2, self.prior.density(xs2))
+        wfx2 = _node_weights(wts2, self.prior.density(xs2), 2 * panels)
         probe = np.linspace(grid[0], grid[-1], 9)
         (f2,) = _kernel_reduce(probe, *_tiled(xs2, wfx2), sn, ("f",))
         (f1,) = self._reduce(probe, ("f",))
@@ -302,21 +310,10 @@ class Mechanism:
         return out
 
     def _mass(self, iv):
-        """P_Y(iv) for an interval iv (with lo, hi), cancellation-free.
-
-        A bounded interval sums only the nodes within -_Z_ZERO sigma_n of
-        it: the kernel probability of every node farther out is the
-        difference of two exact zeros (see _phi_diff).
-        """
-        lo, hi = iv.lo, iv.hi
-        if math.isinf(lo) and math.isinf(hi):
+        """P_Y(iv) for an interval iv (with lo, hi), cancellation-free."""
+        if iv.is_full_line:
             return 1.0
-        xs, wfx = self._xs, self._wfx
-        if math.isfinite(lo) and math.isfinite(hi):
-            reach = -_Z_ZERO * self.sigma_n
-            i0, i1 = xs.searchsorted((lo - reach, hi + reach)).tolist()
-            xs, wfx = xs[i0:i1], wfx[i0:i1]
-        return float(_kernel_prob(iv, xs, self.sigma_n) @ wfx)
+        return float(_kernel_prob(iv, self._xs, self.sigma_n) @ self._wfx)
 
     def marginal_density(self, y):
         """f_Y(y); scalar in, scalar out."""

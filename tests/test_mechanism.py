@@ -102,6 +102,15 @@ class TestConstruction:
         with pytest.raises(NumericalError, match="prior mass on the quadrature nodes"):
             Mechanism(Broken(1.0), 1.0)
 
+    def test_component_between_the_nodes_is_not_normalized_away(self):
+        # the narrow component sits midway between two nodes of both the
+        # rule and the probe's doubled rule, some 24 of its sigmas from each:
+        # the nodes see half the prior's mass
+        prior = GaussianMixturePrior((0.5, 0.5), (0.0, 0.00244140625), (1.0, 1e-4))
+        with pytest.raises(NumericalError,
+                           match=r"is 0\.5 at panel_count=2048, expected 1"):
+            Mechanism(prior, 1.0)
+
     @pytest.mark.parametrize("fixture", ["canonical", "wide_gaussian", "slc", "mixture",
                                          "oscillating"])
     def test_prior_normalized_on_the_nodes(self, fixture, request):
@@ -349,38 +358,6 @@ class TestKernelBand:
     def test_band_share_high_snr(self):
         exp_share, _ = self._construction_share(lambda: Mechanism(GaussianPrior(1.0), 0.01))
         assert exp_share <= 0.10
-
-
-class TestIntervalMass:
-    INTERVALS = ((-0.3, 0.4), (-5.5, -5.0), (2.0, 2.001), (-0.05, 0.05), (4.0, 9.0))
-
-    @staticmethod
-    def _full_sum(m, iv):
-        return float(mechanism._kernel_prob(iv, m._xs, m.sigma_n) @ m._wfx)
-
-    def test_bit_equal_where_the_band_covers_every_node(self, canonical):
-        for lo, hi in self.INTERVALS + ((-math.inf, 0.5), (0.5, math.inf)):
-            iv = Interval(lo, hi)
-            assert canonical._mass(iv) == self._full_sum(canonical, iv)
-        assert canonical._mass(Interval(-math.inf, math.inf)) == 1.0
-
-    @pytest.mark.parametrize("build", ["high_snr", "oscillating"])
-    def test_banded_sum_matches_the_full_sum(self, build, request):
-        m = (Mechanism(GaussianPrior(1.0), 0.01) if build == "high_snr"
-             else request.getfixturevalue(build))
-        reach = -mechanism._Z_ZERO * m.sigma_n
-        # the last: 35 to 36 sigma_n past the nodes, a tiny but nonzero mass
-        edge = float(m._xs[-1]) / m.sigma_n
-        far = ((edge + 35.0) * m.sigma_n, (edge + 36.0) * m.sigma_n)
-        for lo, hi in self.INTERVALS + (far,):
-            iv = Interval(lo, hi)
-            full = self._full_sum(m, iv)
-            assert full > 0.0
-            assert abs(m._mass(iv) - full) <= 8.0 * np.spacing(full)
-            # the skipped nodes contribute exact zeros
-            out = (m._xs < lo - reach) | (m._xs > hi + reach)
-            assert out.any()
-            assert np.all(mechanism._kernel_prob(iv, m._xs[out], m.sigma_n) == 0.0)
 
 
 class TestMonotoneCdf:
