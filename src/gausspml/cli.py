@@ -47,7 +47,7 @@ from .leakage import (
 from .mechanism import Mechanism
 from .numerics import QuadratureConfig
 from .priors import GaussianPrior, prior_from_json
-from .verify import _SUITE, run_suite
+from .verify import _suite_names, run_suite
 
 _COMMANDS = ("envelope", "leakage", "posterior", "verify", "search")
 _RUN_FIELDS = ("command", "command_args", "output_path", "format", "seed")
@@ -249,12 +249,10 @@ def _validate_args(command, args):
     elif command == "verify":
         suite = args.get("suite", "all")
         _require(isinstance(suite, str) and suite, "/command_args/suite: expected a string")
-        if suite != "all":
-            for name in suite.split(","):
-                _require(
-                    name.strip() in _SUITE,
-                    f"/command_args/suite: unknown check {name.strip()!r}",
-                )
+        try:
+            _suite_names(suite)
+        except DomainError as exc:
+            raise DomainError(f"/command_args/suite: {exc}") from exc
         args["suite"] = suite
     return args
 

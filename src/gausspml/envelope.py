@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, check_count, check_probability
+from .errors import DomainError, check_count, check_probability
 from .leakage import FinitePartition, Interval, LeakageNats, interval_leakage, tail_thresholds
 from .mechanism import _bounded_numerator
 from .numerics import golden_section_max, refine_max
@@ -55,21 +55,11 @@ def condition_report(m):
     """Evaluate every closed-form hypothesis on the mechanism.
 
     The posterior-variance supremum is a 2048-point window scan plus a
-    golden-section polish around the scan maximum.
+    golden-section polish around the scan maximum, both through
+    m.posterior_variance and its check that the two routes agree.
     """
-    win_lo, win_hi = m.window
-    ys = np.linspace(win_lo, win_hi, 2048)
-    var_direct, var_curv, _ = m._posterior_variance_batch(ys)
-    gap = float(np.max(np.abs(var_direct - var_curv)))
-    if gap > 1e-5 * max(1.0, m.sigma_n**2):
-        raise NumericalError(
-            f"posterior variance routes disagree by {gap:.3g} on the window scan",
-            operation="condition_report",
-            last_estimate=gap,
-        )
-    _, sup_var = refine_max(
-        lambda y: float(m._posterior_variance_batch(y)[1][0]), ys, var_curv, 1e-10
-    )
+    ys = np.linspace(*m.window, 2048)
+    _, sup_var = refine_max(m.posterior_variance, ys, m.posterior_variance(ys), 1e-10)
 
     threshold = 0.75 * m.sigma_n**2
     x_lo, x_hi = m.x_window
@@ -182,7 +172,7 @@ def _refine_allocation(m, kl, w, delta):
     n = w.size
     if n == 1:
         return w, _alloc_value(m, kl, w)
-    F = m._Fy_grid
+    f_lo, f_hi = m.level_window
     for _ in range(3):
         for b in range(1, n):
             cum = np.cumsum(w)
@@ -190,11 +180,11 @@ def _refine_allocation(m, kl, w, delta):
             lo = base + _MASS_FLOOR
             hi = (cum[b] if b < n - 1 else delta) - _MASS_FLOOR
             # keep the quantile level of each cut that moves with s inside
-            # (F[0], F[-1]], i.e. inside the working window
+            # the level window (f_lo, f_hi]
             if b <= kl:  # left cut at level s
-                lo, hi = max(lo, F[0]), min(hi, F[-1])
+                lo, hi = max(lo, f_lo), min(hi, f_hi)
             if b >= kl:  # right cut at level 1 - (delta - s)
-                lo, hi = max(lo, delta - (1.0 - F[0])), min(hi, delta - (1.0 - F[-1]))
+                lo, hi = max(lo, delta - (1.0 - f_lo)), min(hi, delta - (1.0 - f_hi))
             if hi <= lo:
                 continue
 
@@ -254,12 +244,13 @@ def envelope_bruteforce_lower_bound(m, delta, max_cells):
 
     unit = delta / _UNITS
     F, Y = m._Fy_grid, m.y_grid
+    f_lo, f_hi = m.level_window
     iu = np.arange(1, _UNITS + 1) * unit
     sides = []
     for p in (iu, 1.0 - iu):
-        # a cut whose quantile level lies outside (F[0], F[-1]] falls
+        # a cut whose quantile level lies outside the level window falls
         # outside the working window: every slice ending there is infeasible
-        ok = (p > F[0]) & (p <= F[-1])
+        ok = (p > f_lo) & (p <= f_hi)
         interior = _interior_leak_matrix(np.interp(p, F, Y), unit, m.sigma_n)
         interior[:, ~ok] = -np.inf
         sides.append(_side_best(np.where(ok, -np.log(iu), -np.inf), interior, max_cells))
@@ -300,32 +291,26 @@ def delta0_estimate(m):
 
     Checks, on a descending dyadic grid k/64, that both tail cuts for
     total mass delta land beyond the unimodality threshold M and that
-    the marginal's sub-level sets at the cut densities consist only of
-    window-edge-adjacent runs (so no interior valley can absorb bad
-    mass). Returns None when M itself is unknown.
+    the marginal's super-level sets at the cut densities are single runs
+    of the grid (so no interior valley can absorb bad mass), skipping a
+    delta whose tail levels leave the level window. Returns None when M
+    itself is unknown.
     """
     M = m.unimodal_tail_threshold()
     if M is None:
         return None
-    fy, Y = m._fy_grid, m.y_grid
+    fy, (f_lo, f_hi) = m._fy_grid, m.level_window
 
     def edge_runs_only(tau):
-        mask = fy <= tau
-        if not mask.any():
-            return True
-        idx = np.nonzero(mask)[0]
-        breaks = np.nonzero(np.diff(idx) > 1)[0]
-        starts = [idx[0]] + [idx[b + 1] for b in breaks]
-        ends = [idx[b] for b in breaks] + [idx[-1]]
-        return all(s == 0 or e == Y.size - 1 for s, e in zip(starts, ends))
+        above = np.nonzero(fy > tau)[0]  # {f_Y > tau}: one run, or empty
+        return above.size == 0 or above[-1] - above[0] + 1 == above.size
 
     for k in range(31, 0, -1):
         delta = k / 64.0
-        try:
-            b_cut = m.marginal_quantile(delta)
-            a_cut = m.marginal_quantile(1.0 - delta)
-        except DomainError:
+        if delta <= f_lo or 1.0 - delta > f_hi:  # delta < 1/2 < 1 - delta
             continue
+        b_cut = m.marginal_quantile(delta)
+        a_cut = m.marginal_quantile(1.0 - delta)
         if not (b_cut < -M and a_cut > M):
             continue
         tau_l = m.marginal_density(b_cut)
@@ -345,19 +330,19 @@ def _two_tail_witness(m, delta):
     return FinitePartition(cells, ("tail_left", "core", "tail_right"))
 
 
-def _closed_form_test(m, report):
+def _closed_form_test(m):
     """Predicate on delta: does the closed form log(2/delta) apply on m?
 
-    delta0_estimate runs only once every other hypothesis holds.
+    A Gaussian prior decides by its variance ratio alone. Any other prior
+    goes through condition_report, and delta0_estimate runs only once
+    every other hypothesis holds.
     """
-    if report.gaussian_ratio_ok is not None:
-        return lambda delta: report.gaussian_ratio_ok and delta < 0.5
-    if not (
-        report.variance_ok
-        and m.prior.is_full_support
-        and abs(m._x_mean) <= 1e-8
-        and report.tail_unimodal_M is not None
-    ):
+    ratio_ok = m.prior.gaussian_ratio_ok(m.sigma_n)
+    if ratio_ok is not None:
+        return lambda delta: ratio_ok and delta < 0.5
+    report = condition_report(m)
+    centered = m.prior.is_full_support and abs(m._x_mean) <= 1e-8
+    if not (report.variance_ok and centered and report.tail_unimodal_M is not None):
         return lambda delta: False
     delta0 = delta0_estimate(m)
     return lambda delta: delta0 is not None and delta <= delta0
@@ -367,7 +352,7 @@ def envelope_point(m, delta, max_cells=4, _closed=None):
     """Envelope value at one delta, with regime label and witness."""
     delta = check_probability(delta, "delta")
     if _closed is None:
-        _closed = _closed_form_test(m, condition_report(m))
+        _closed = _closed_form_test(m)
     if _closed(delta):
         return EnvelopePoint(
             delta=float(delta),
@@ -384,5 +369,5 @@ def envelope_point(m, delta, max_cells=4, _closed=None):
 def envelope_curve(m, deltas, max_cells=4):
     """envelope_point over a delta grid, sharing one regime test."""
     deltas = [check_probability(d, "delta") for d in deltas]
-    closed = _closed_form_test(m, condition_report(m))
+    closed = _closed_form_test(m)
     return [envelope_point(m, d, max_cells=max_cells, _closed=closed) for d in deltas]

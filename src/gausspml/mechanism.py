@@ -31,6 +31,7 @@ _TILE = 64  # nodes per pairwise partial sum of F_Y (see _kernel_reduce)
 # largest |raw node sum - 1| of the prior (see _node_weights); a kinked
 # strongly log-concave prior such as SLC(1, 1, 1.1) misses by 5e-7
 _MASS_TOL = 1e-6
+_CDF_ROUNDOFF = 1e-14  # table-vs-direct F_Y gap taken as roundoff (<= 4.4e-16 on the fixtures)
 
 # Past these standardized distances z = (y - x)/sigma_n a kernel entry is an
 # exact double constant, so _kernel_reduce never evaluates it: ndtr(z) == 1.0
@@ -280,6 +281,11 @@ class Mechanism:
         return (float(self.y_grid[0]), float(self.y_grid[-1]))
 
     @property
+    def level_window(self):
+        """(lo, hi), F_Y at the grid ends: marginal_quantile takes lo < p <= hi."""
+        return (float(self._Fy_grid[0]), float(self._Fy_grid[-1]))
+
+    @property
     def x_window(self):
         return tuple(map(float, self.prior.support(self.cfg)))
 
@@ -346,7 +352,10 @@ class Mechanism:
 
         def g(t):
             F, f = self._reduce(t, ("cdf", "f"))
-            return float(F) - p, float(f)
+            v = float(F) - p
+            if abs(v) <= _CDF_ROUNDOFF and t in (lo, hi):  # the table's sign stands
+                v = min(v, 0.0) if t == lo else max(v, 0.0)
+            return v, float(f)
 
         return find_root_increasing(g, lo, hi, tol, x0)
 
@@ -358,27 +367,21 @@ class Mechanism:
         out = self.sigma_n**2 * f1 / f + np.asarray(y, dtype=float)
         return float(out) if np.ndim(y) == 0 else out
 
-    def _posterior_variance_batch(self, ys):
-        """Both variance routes over an array of y.
+    def posterior_variance(self, y):
+        """Var[X | Y=y]; two routes must agree to 1e-5 max(1, sigma_n^2).
 
-        Route one integrates posterior moments directly; route two uses
-        the curvature identity var = sigma_n^4 (log f_Y)'' + sigma_n^2.
-        They share kernel evaluations but reduce them independently.
+        Route one integrates posterior moments directly; route two, which
+        is returned, uses the curvature identity var = sigma_n^4 (log
+        f_Y)'' + sigma_n^2. They share kernel evaluations but reduce them
+        independently; a gap past the tolerance raises NumericalError.
         """
-        flat = np.asarray(ys, dtype=float).reshape(-1)
         sn = self.sigma_n
-        f, f1, f2, m1, m2 = self._density_terms(flat, ("f", "df", "d2f", "m1", "m2"))
-        mean_direct = m1 / f
-        var_direct = m2 / f - mean_direct**2
+        f, f1, f2, m1, m2 = self._density_terms(y, ("f", "df", "d2f", "m1", "m2"))
+        var_direct = m2 / f - (m1 / f) ** 2
         r1 = f1 / f
         var_curv = sn**4 * (f2 / f - r1 * r1) + sn * sn
-        return var_direct, var_curv, mean_direct
-
-    def posterior_variance(self, y):
-        """Var[X | Y=y]; the two internal routes must agree to 1e-5."""
-        var_direct, var_curv, _ = self._posterior_variance_batch(y)
         gap = float(np.max(np.abs(var_direct - var_curv)))
-        if gap > 1e-5 * max(1.0, self.sigma_n**2):
+        if gap > 1e-5 * max(1.0, sn**2):
             raise NumericalError(
                 f"posterior variance routes disagree by {gap:.3g}; "
                 "grid resolution is insufficient",
@@ -386,7 +389,7 @@ class Mechanism:
                 last_estimate=gap,
             )
         out = np.clip(var_curv, 0.0, None)
-        return float(out[0]) if np.ndim(y) == 0 else out.reshape(np.shape(y))
+        return float(out) if np.ndim(y) == 0 else out
 
     # -- information density ----------------------------------------------
 
@@ -416,26 +419,17 @@ class Mechanism:
         spacings of a window edge.
         """
         y, d = self.y_grid, self._dfy_grid
-        spacing = float(y[1] - y[0])
-        pos = np.nonzero(y > 0.0)[0]
-        neg = np.nonzero(y < 0.0)[0]
-        if pos.size == 0 or neg.size == 0:
-            return None
+        edge = 2.0 * float(y[1] - y[0])
 
-        viol_r = pos[d[pos] >= 0.0]
-        if viol_r.size == 0:
-            m_right = float(y[pos[0]])
-        else:
-            m_right = float(y[viol_r[-1]])
-            if m_right > float(y[-1]) - 2.0 * spacing:
+        def right_tail(t, slope):  # the left tail is the mirrored grid's right tail
+            pos = t > 0.0
+            if not pos.any():
                 return None
+            bad = np.nonzero(pos & (slope >= 0.0))[0]
+            if bad.size == 0:
+                return float(t[pos][0])
+            m = float(t[bad[-1]])
+            return None if m > float(t[-1]) - edge else m
 
-        viol_l = neg[d[neg] <= 0.0]
-        if viol_l.size == 0:
-            m_left = float(-y[neg[-1]])
-        else:
-            m_left = float(-y[viol_l[0]])
-            if -m_left < float(y[0]) + 2.0 * spacing:
-                return None
-
-        return max(m_right, m_left)
+        m_right, m_left = right_tail(y, d), right_tail(-y[::-1], -d[::-1])
+        return None if m_right is None or m_left is None else max(m_right, m_left)

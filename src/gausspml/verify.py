@@ -52,11 +52,12 @@ def _union_sampler(m, window=None):
 
     Endpoints are uniform in the window; the rightmost interval's upper
     endpoint is then re-solved so the total mass lands on target (within
-    1e-6). Rejection-samples draws that leave no room for the adjustment.
-    F_Y at the window ends is evaluated once, here, for every draw.
+    1e-6). Rejection-samples draws that leave no room for the adjustment
+    in the window. F_Y at the window ends is evaluated once, here.
     """
     win_lo, win_hi = window if window is not None else m.window
     f_lo, f_hi = m.marginal_cdf(win_lo), m.marginal_cdf(win_hi)
+    lv_lo, lv_hi = m.level_window
 
     def draw(rng, target):
         if not 0.0 < target < f_hi - f_lo:
@@ -70,12 +71,9 @@ def _union_sampler(m, window=None):
             if need <= 1e-12:
                 continue
             p_target = m.marginal_cdf(cells[-1].lo) + need
-            if p_target >= f_hi - 1e-12:
+            if p_target >= f_hi - 1e-12 or not lv_lo < p_target <= lv_hi:
                 continue
-            try:
-                new_hi = m.marginal_quantile(p_target)
-            except DomainError:
-                continue
+            new_hi = m.marginal_quantile(p_target)
             if new_hi <= cells[-1].lo or new_hi > win_hi:
                 continue
             cells[-1] = Interval(cells[-1].lo, float(new_hi))
@@ -97,18 +95,18 @@ def _monotone_from(m):
     """(a0, message): interval leakage is claimed increasing for a > a0.
 
     a0 is 0 for a Gaussian prior with sigma_x^2 <= 3 sigma_n^2, else the
-    unimodal tail threshold M. Raises DomainError for a Gaussian prior
-    outside that ratio, where no monotonicity is claimed, and when M is
-    unknown.
+    unimodal tail threshold M. a0 is None, and the message says why, for
+    a Gaussian prior outside that ratio, where no monotonicity is
+    claimed, and when M is unknown.
     """
     ratio_ok = m.prior.gaussian_ratio_ok(m.sigma_n)
     if ratio_ok is False:
-        raise DomainError("monotone only for a Gaussian prior with sigma_x^2 <= 3 sigma_n^2")
+        return None, "monotone only for a Gaussian prior with sigma_x^2 <= 3 sigma_n^2"
     if ratio_ok:
         return 0.0, "a must be positive for the Gaussian in-regime check"
     M = m.unimodal_tail_threshold()
     if M is None:
-        raise DomainError("unimodal tail threshold unknown; check not applicable")
+        return None, "unimodal tail threshold unknown; check not applicable"
     return M, f"a must exceed the unimodal tail threshold {M!r}"
 
 
@@ -117,16 +115,19 @@ def check_concavity_identity(m, n_samples, seed=0):
 
     A centered second difference of the information density must match
     the posterior-variance identity to 1e-4 relative and stay negative
-    (concavity) at every sampled point.
+    (concavity) at every sampled point. y lies between the 1e-3 and
+    1 - 1e-3 quantiles, or 1e-3 of the window's mass in from its ends.
     """
     n_samples = check_count(n_samples, "n_samples")
     rng = np.random.default_rng(check_count(seed, "seed", lo=0))
     x_lo, x_hi = m.x_window
     span = x_hi - x_lo
     xs = rng.uniform(x_lo + 0.2 * span, x_hi - 0.2 * span, n_samples)
-    y_lo = m.marginal_quantile(1e-3)
-    y_hi = m.marginal_quantile(1.0 - 1e-3)
-    ys = rng.uniform(y_lo, y_hi, n_samples)
+    p_lo, p_hi = 1e-3, 1.0 - 1e-3
+    f_lo, f_hi = m.level_window
+    if not (f_lo < p_lo and p_hi <= f_hi):
+        p_lo, p_hi = f_lo + 1e-3 * (f_hi - f_lo), f_hi - 1e-3 * (f_hi - f_lo)
+    ys = rng.uniform(m.marginal_quantile(p_lo), m.marginal_quantile(p_hi), n_samples)
 
     h = 1e-3 * m.sigma_n
     fd2 = (
@@ -163,7 +164,7 @@ def check_interval_monotonicity(m, a, b_max, n_grid):
     if not b_max > a:
         raise DomainError("requires b_max > a")
     a0, message = _monotone_from(m)
-    if a <= a0:
+    if a0 is None or a <= a0:
         raise DomainError(message)
 
     sn = m.sigma_n
@@ -310,9 +311,25 @@ _SUITE = (
 )
 
 
+def _suite_names(suite):
+    """The checks "all" or a comma list selects; blank entries are dropped."""
+    if suite == "all":
+        return _SUITE
+    names = tuple(s.strip() for s in str(suite).split(",") if s.strip())
+    unknown = [n for n in names if n not in _SUITE]
+    if unknown:
+        raise DomainError(f"unknown check {unknown[0]!r}; choose from {', '.join(_SUITE)}")
+    if not names:
+        raise DomainError("suite selects no checks")
+    return names
+
+
 def _suite_thunks(m, seed):
     def monotonicity():
-        a = _monotone_from(m)[0] + 0.25 * m.sigma_y
+        a0, reason = _monotone_from(m)
+        if a0 is None:  # declared, not run
+            return _result("interval_monotonicity", 0.0, 0.0, None, f"not applicable: {reason}")
+        a = a0 + 0.25 * m.sigma_y
         b_max = min(a + 8.0 * m.sigma_y + 0.01, m.window[1])
         return check_interval_monotonicity(m, a, b_max, 500)
 
@@ -336,33 +353,17 @@ def run_suite(m, suite="all", seed=0):
 
     Checks run one after another, each with its own seeded randomness,
     so the report depends only on the mechanism, the suite and the seed.
-    A check that raises DomainError is reported as a not-applicable pass.
+    A check outside its hypothesis is declared a not-applicable pass
+    without running; one that runs and raises DomainError is a failure
+    with an infinite violation and details "error: <message>".
     """
-    if suite == "all":
-        names = _SUITE
-    else:
-        names = tuple(s.strip() for s in str(suite).split(",") if s.strip())
-        unknown = [n for n in names if n not in _SUITE]
-        if unknown:
-            raise DomainError(
-                f"unknown check {unknown[0]!r}; choose from {', '.join(_SUITE)}"
-            )
-    if not names:
-        raise DomainError("suite selects no checks")
+    names = _suite_names(suite)
     thunks = _suite_thunks(m, check_count(seed, "seed", lo=0))
 
     def run_one(name):
         try:
             return thunks[name]()
-        except DomainError as exc:
-            # inapplicable on this mechanism, not a violated property
-            return CheckResult(
-                name=name,
-                passed=True,
-                worst_violation=0.0,
-                location=None,
-                details=f"not applicable: {exc}",
-                tolerance=0.0,
-            )
+        except DomainError as exc:  # the check ran and verified nothing
+            return _result(name, math.inf, 0.0, None, f"error: {exc}")
 
     return [run_one(n) for n in names]

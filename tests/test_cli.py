@@ -186,6 +186,18 @@ class TestVerifyCommand:
         assert code == 1
         assert _rows(out)[0]["passed"] == "false"
 
+    def test_suite_list_parsed_like_run_suite(self, capsys):
+        # a trailing comma selects the named check, as run_suite reads it
+        code, out, err = _run(capsys, "verify", "--suite", "concavity_identity,")
+        assert code == 0, err
+        assert [r["name"] for r in _rows(out)] == ["concavity_identity"]
+        code, out, err = _run(capsys, "verify", "--suite", ",")
+        assert (code, out) == (2, "")
+        assert "pml: config error: /command_args/suite: suite selects no checks" in err
+        code, out, err = _run(capsys, "verify", "--suite", "concavity_identity,nope")
+        assert (code, out) == (2, "")
+        assert "/command_args/suite: unknown check 'nope'" in err
+
     def test_determinism(self, capsys):
         _, out1, _ = _run(capsys, "verify", "--suite", "all", "--seed", "7")
         _, out2, _ = _run(capsys, "verify", "--suite", "all", "--seed", "7")

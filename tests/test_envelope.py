@@ -219,6 +219,24 @@ class TestEnvelopeCurve:
         monkeypatch.setattr(envelope_module, "delta0_estimate", unreachable)
         assert envelope_curve(mixture, deltas, max_cells=2) == expected
 
+    @pytest.mark.parametrize("fixture", ["canonical", "wide_gaussian", "slc"])
+    def test_only_non_gaussian_priors_run_condition_report(self, fixture, request, monkeypatch):
+        # a Gaussian prior decides the regime by its variance ratio alone
+        m = request.getfixturevalue(fixture)
+        calls = []
+        original = envelope_module.condition_report
+
+        def counting(mech):
+            calls.append(mech)
+            return original(mech)
+
+        monkeypatch.setattr(envelope_module, "condition_report", counting)
+        curve = envelope_curve(m, (0.05, 0.3), max_cells=2)
+        envelope_point(m, 0.1, max_cells=2)
+        assert len(calls) == (0 if fixture != "slc" else 2)
+        expected = "LowerBoundOnly" if fixture == "wide_gaussian" else "ClosedForm"
+        assert [p.regime for p in curve] == [expected, expected]
+
     def test_slc_estimates_delta0_once_per_curve(self, slc, monkeypatch):
         calls = []
         original = envelope_module.delta0_estimate

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -453,6 +454,77 @@ class TestUnimodalTailThreshold:
 
     def test_oscillating_not_certifiable(self, oscillating):
         assert oscillating.unimodal_tail_threshold() is None
+
+    @staticmethod
+    def _threshold(y, dfy):
+        # the method reads only the cached grid and slope
+        grid = SimpleNamespace(y_grid=np.asarray(y, float), _dfy_grid=np.asarray(dfy, float))
+        return Mechanism.unimodal_tail_threshold(grid)
+
+    def test_hand_built_grids(self):
+        y = np.linspace(-5.0, 5.0, 11)  # spacing 1, so the edge band is 2
+        assert self._threshold(y, -y) == 1.0  # no violation: the first grid point past 0
+        d = -y
+        d[7] = 0.5  # right violation at y = 2, clear of the edge
+        assert self._threshold(y, d) == 2.0
+        d[2] = -0.5  # left violation at y = -3 dominates
+        assert self._threshold(y, d) == 3.0
+        d[2], d[7] = -y[2], 0.0  # a zero slope counts as a violation
+        assert self._threshold(y, d) == 2.0
+        d = -y
+        d[5 + 4] = 0.5  # right violation at y = 4, within the edge band
+        assert self._threshold(y, d) is None
+        d = -y
+        d[1] = -0.5  # left violation at y = -4, within the edge band
+        assert self._threshold(y, d) is None
+        d = -y
+        d[2] = -0.5  # y = -3 sits exactly two spacings from the edge: kept
+        assert self._threshold(y, d) == 3.0
+
+    def test_hand_built_grids_without_two_tails(self):
+        y = np.linspace(0.0, 5.0, 11)  # no negative point
+        assert self._threshold(y, -y) is None
+        assert self._threshold(-y[::-1], y[::-1]) is None  # no positive point
+
+    def test_asymmetric_grid_uses_the_first_spacing(self):
+        # the edge band is two spacings of the grid's first cell at both ends
+        y = np.array([-6.0, -5.0, -4.0, -3.0, -1.0, 1.0, 3.0, 5.0, 7.0])
+        d = -y
+        d[6] = 0.5  # y = 3: 7 - 2 = 5 > 3, clear of the band
+        assert self._threshold(y, d) == 3.0
+        d[7] = 0.5  # y = 5: not beyond 7 - 2, still certified
+        assert self._threshold(y, d) == 5.0
+        d = -y
+        d[1] = -0.5  # y = -5: past -6 + 2, inside the band
+        assert self._threshold(y, d) is None
+
+
+class TestLevelWindow:
+    @pytest.mark.parametrize("fixture", ["canonical", "wide_gaussian", "mixture", "oscillating"])
+    def test_quantile_accepts_exactly_the_window(self, fixture, request):
+        m = request.getfixturevalue(fixture)
+        lo, hi = m.level_window
+        assert (lo, hi) == (m._Fy_grid[0], m._Fy_grid[-1])
+        y_lo, y_hi = m.window
+        inside = [np.nextafter(lo, 1.0), np.nextafter(hi, 0.0), hi]
+        for p in (q for q in inside if 0.0 < q < 1.0):
+            assert y_lo <= m.marginal_quantile(p) <= y_hi, p
+        for p in (lo, np.nextafter(hi, 1.0)):
+            if 0.0 < p < 1.0:
+                with pytest.raises(DomainError, match="outside the working window"):
+                    m.marginal_quantile(p)
+
+    @pytest.mark.parametrize("fixture", ["canonical", "wide_gaussian", "oscillating"])
+    def test_quantile_at_table_levels(self, fixture, request):
+        # within a few ulps of a table level the direct CDF at the bracket
+        # end can fall on the wrong side of p by roundoff
+        m = request.getfixturevalue(fixture)
+        F, grid = m._Fy_grid, m.y_grid
+        for k in range(1, F.size, 97):
+            for p in (F[k], np.nextafter(F[k], 0.0), np.nextafter(F[k], 1.0)):
+                if F[0] < p < 1.0:
+                    j = int(np.searchsorted(F, p))  # the table's bracket
+                    assert grid[j - 1] <= m.marginal_quantile(float(p)) <= grid[j], (k, p)
 
 
 def test_only_mechanism_holds_the_nodes_and_scipy():

@@ -19,7 +19,7 @@ from gausspml import (
     event_mass,
     run_suite,
 )
-from gausspml.verify import _SUITE, _union_sampler
+from gausspml.verify import _SUITE, _suite_names, _union_sampler
 
 
 class TestCheckResultInvariant:
@@ -201,6 +201,42 @@ class TestRunSuite:
     def test_unknown_name_rejected(self, canonical):
         with pytest.raises(DomainError):
             run_suite(canonical, suite="nonexistent_check")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_oscillating_concavity_identity_runs(self, oscillating, seed):
+        # the window holds less than 1 - 2e-3 of the mass, so the samples
+        # are placed 1e-3 of the window's mass in from its ends
+        lo, hi = oscillating.level_window
+        assert lo > 1e-3 and hi < 1.0 - 1e-3
+        (r,) = run_suite(oscillating, "concavity_identity", seed)
+        assert r.passed, r.details
+        assert r.details.startswith("max relative identity error")
+        assert 0.0 < r.worst_violation <= r.tolerance == 1e-4
+
+    def test_domain_error_inside_a_check_is_a_failure(self, canonical, monkeypatch):
+        import gausspml.verify as verify_mod
+
+        def broken(*args, **kwargs):
+            raise DomainError("planted domain error")
+
+        monkeypatch.setattr(verify_mod, "check_tail_worst_bound", broken)
+        r_first, r_tail = run_suite(canonical, "concavity_identity,tail_worst_bound")
+        assert r_first.passed
+        assert r_tail.name == "tail_worst_bound"
+        assert not r_tail.passed
+        assert r_tail.worst_violation == math.inf
+        assert r_tail.details == "error: planted domain error"
+
+    def test_suite_names(self):
+        assert _suite_names("all") == _SUITE
+        assert _suite_names(" bathtub_optimality , concavity_identity,") == (
+            "bathtub_optimality",
+            "concavity_identity",
+        )
+        with pytest.raises(DomainError, match="suite selects no checks"):
+            _suite_names(",")
+        with pytest.raises(DomainError, match="unknown check 'nope'"):
+            _suite_names("concavity_identity,nope")
 
     def test_inapplicable_check_reported_not_failed(self, oscillating):
         results = run_suite(oscillating, suite="interval_monotonicity")
