@@ -14,20 +14,18 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .envelope import envelope_bruteforce_lower_bound, envelope_curve
 from .errors import (
     DomainError,
-    GaussPmlError,
     ModelError,
     NumericalError,
     check_fields,
@@ -45,7 +43,7 @@ from .leakage import (
     set_leakage_oracle,
 )
 from .mechanism import Mechanism
-from .numerics import QuadratureConfig
+from .numerics import DEFAULT_CONFIG, QuadratureConfig
 from .priors import GaussianPrior, prior_from_json
 from .verify import _suite_names, run_suite
 
@@ -62,22 +60,18 @@ _ARG_FIELDS = {
 }
 
 
-class ConfigError(GaussPmlError):
-    """Configuration rejected before any computation started."""
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Fully validated description of one CLI run."""
 
     prior: object
     sigma_n: float
-    quadrature: QuadratureConfig
-    command: str | None
-    command_args: dict
-    output_path: str | None
-    format: str
-    seed: int
+    quadrature: QuadratureConfig = DEFAULT_CONFIG
+    command: str | None = None
+    command_args: dict = field(default_factory=dict)
+    output_path: str | None = None
+    format: str = "csv"
+    seed: int = 0
 
 
 # -- config parsing ----------------------------------------------------------
@@ -85,23 +79,9 @@ class RunConfig:
 
 def _require(cond, message):
     if not cond:
-        raise ConfigError(message)
+        raise DomainError(message)
 
 
-def _config_errors(check):
-    """Report the DomainErrors of an input check as ConfigError."""
-
-    @functools.wraps(check)
-    def checked(*args):
-        try:
-            return check(*args)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    return checked
-
-
-@_config_errors
 def parse_config(path):
     """Read and validate a JSON run configuration.
 
@@ -114,13 +94,13 @@ def parse_config(path):
         with open(path, encoding="utf-8") as fh:
             raw = fh.read()
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        raise DomainError(f"config file not found: {path}") from None
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise DomainError(f"cannot read config file {path}: {exc}") from exc
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise ConfigError(
+        raise DomainError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
     if isinstance(obj, dict) and "mechanism" in obj:
@@ -149,9 +129,9 @@ def parse_config(path):
     output_path = obj.get("output_path")
     if output_path is not None:
         _require(isinstance(output_path, str) and output_path, "/output_path: expected a non-empty string")
-    fmt = obj.get("format", "csv")
+    fmt = obj.get("format", RunConfig.format)
     _require(fmt in ("csv", "json"), f"/format: must be csv or json; got {fmt!r}")
-    seed = check_count(obj.get("seed", 0), "/seed", lo=0)
+    seed = check_count(obj.get("seed", RunConfig.seed), "/seed", lo=0)
     return RunConfig(
         prior=prior,
         sigma_n=sigma_n,
@@ -176,7 +156,7 @@ def _parse_grid(spec, name):
         try:
             lo, hi, step = (float(p) for p in parts)
         except ValueError:
-            raise ConfigError(f"--{name}: non-numeric component in {spec!r}") from None
+            raise DomainError(f"--{name}: non-numeric component in {spec!r}") from None
         _require(step > 0.0, f"--{name}: step must be positive")
         _require(hi >= lo, f"--{name}: needs hi >= lo")
         steps = (hi - lo) / step + 1e-9  # NaN or inf fails the cap too
@@ -185,7 +165,7 @@ def _parse_grid(spec, name):
     try:
         values = [float(p) for p in spec.split(",") if p.strip()]
     except ValueError:
-        raise ConfigError(f"--{name}: non-numeric entry in {spec!r}") from None
+        raise DomainError(f"--{name}: non-numeric entry in {spec!r}") from None
     _require(bool(values), f"--{name}: empty grid")
     return values
 
@@ -196,7 +176,7 @@ def _parse_interval_flag(spec):
     try:
         return [float(p) for p in parts]  # float() reads every spelling of inf
     except ValueError:
-        raise ConfigError(f"--interval: bad endpoint in {spec!r}") from None
+        raise DomainError(f"--interval: bad endpoint in {spec!r}") from None
 
 
 def _endpoint_pair(pair, pointer):
@@ -209,7 +189,6 @@ def _endpoint_pair(pair, pointer):
     return [lo, hi]
 
 
-@_config_errors
 def _validate_args(command, args):
     """Per-command validation of command_args, before any computation."""
     check_fields(args, "/command_args", (), _ARG_FIELDS[command])
@@ -259,19 +238,7 @@ def _validate_args(command, args):
 
 def _resolve(ns):
     """Merge config file and flags into a validated RunConfig."""
-    if ns.config is not None:
-        rc = parse_config(ns.config)
-    else:
-        rc = RunConfig(
-            prior=GaussianPrior(1.0),
-            sigma_n=1.0,
-            quadrature=QuadratureConfig(),
-            command=None,
-            command_args={},
-            output_path=None,
-            format="csv",
-            seed=0,
-        )
+    rc = parse_config(ns.config) if ns.config is not None else RunConfig(GaussianPrior(1.0), 1.0)
     command = ns.command or rc.command
     _require(command is not None, "no command: give a subcommand or a config 'command' field")
 
@@ -406,7 +373,7 @@ def _run_verify(m, rc):
         {
             "name": r.name,
             "passed": r.passed,
-            "worst_violation": r.worst_violation,
+            "worst_violation": encode_endpoint(r.worst_violation),  # inf as "inf", valid JSON
             "location": list(r.location) if isinstance(r.location, tuple) else r.location,
             "tolerance": r.tolerance,
             "details": r.details,
@@ -532,9 +499,6 @@ def main(argv=None):
             _write_atomic(rc.output_path, text)
         else:
             sys.stdout.write(text)
-    except ConfigError as exc:
-        print(f"pml: config error: {exc}", file=sys.stderr)
-        return 2
     except NumericalError as exc:
         op = exc.operation or "computation"
         print(f"pml: numerical failure in {op}: {exc}", file=sys.stderr)

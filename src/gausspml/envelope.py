@@ -348,26 +348,21 @@ def _closed_form_test(m):
     return lambda delta: delta0 is not None and delta <= delta0
 
 
-def envelope_point(m, delta, max_cells=4, _closed=None):
+def envelope_point(m, delta, max_cells=4):
     """Envelope value at one delta, with regime label and witness."""
-    delta = check_probability(delta, "delta")
-    if _closed is None:
-        _closed = _closed_form_test(m)
-    if _closed(delta):
-        return EnvelopePoint(
-            delta=float(delta),
-            epsilon_d=LeakageNats(math.log(2.0 / delta)),
-            regime=_REGIME_CLOSED,
-            witness=_two_tail_witness(m, delta),
-        )
-    value, witness = envelope_bruteforce_lower_bound(m, delta, max_cells)
-    return EnvelopePoint(
-        delta=float(delta), epsilon_d=value, regime=_REGIME_LOWER, witness=witness
-    )
+    return envelope_curve(m, [delta], max_cells=max_cells)[0]
 
 
 def envelope_curve(m, deltas, max_cells=4):
-    """envelope_point over a delta grid, sharing one regime test."""
+    """Envelope values over a delta grid, sharing one regime test."""
     deltas = [check_probability(d, "delta") for d in deltas]
     closed = _closed_form_test(m)
-    return [envelope_point(m, d, max_cells=max_cells, _closed=closed) for d in deltas]
+
+    def point(delta):
+        if closed(delta):
+            value = LeakageNats(math.log(2.0 / delta))
+            return EnvelopePoint(delta, value, _REGIME_CLOSED, _two_tail_witness(m, delta))
+        value, witness = envelope_bruteforce_lower_bound(m, delta, max_cells)
+        return EnvelopePoint(delta, value, _REGIME_LOWER, witness)
+
+    return [point(d) for d in deltas]

@@ -39,7 +39,9 @@ class _Prior:
     bound on theta'' (beta-strong log-concavity gives 1/beta^2), or None.
     gaussian_ratio_ok(sigma_n): whether the Gaussian theorem's
     sigma_x^2 <= 3 sigma_n^2 holds, or None off the Gaussian family.
-    Constructor errors read "field: problem", relative to the prior.
+    Each family defines _log_z(cfg), log Z over its support window; log_z
+    caches it and normalization_constant is its exp. Constructor errors
+    read "field: problem", relative to the prior.
     """
 
     _z_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -55,8 +57,8 @@ class _Prior:
             self._z_cache[cfg] = self._log_z(cfg)
         return self._z_cache[cfg]
 
-    def _log_z(self, cfg):
-        return math.log(self.normalization_constant(cfg))
+    def normalization_constant(self, cfg=DEFAULT_CONFIG):
+        return float(np.exp(self.log_z(cfg)))  # inf past the double range
 
     def density(self, x):
         return np.exp(self.log_pdf(x))
@@ -83,10 +85,7 @@ class GaussianPrior(_Prior):
         w = cfg.truncation_halfwidth * self.sigma_x
         return (-w, w)
 
-    def normalization_constant(self, cfg=DEFAULT_CONFIG):
-        return self.sigma_x * math.sqrt(2.0 * math.pi)
-
-    def log_z(self, cfg=DEFAULT_CONFIG):
+    def _log_z(self, cfg):
         return math.log(self.sigma_x) + _LOG_SQRT_2PI
 
     def log_pdf(self, x):
@@ -139,7 +138,7 @@ class StronglyLogConcavePrior(_Prior):
             out = out + self.c * np.abs(x) ** self.p / self.p
         return out
 
-    def normalization_constant(self, cfg=DEFAULT_CONFIG):
+    def _log_z(self, cfg):
         """Quadrature; ModelError when the density has not decayed at the edge."""
         lo, hi = self.support(cfg)
         unnorm = lambda x: np.exp(-self._theta_unnorm(x))
@@ -147,7 +146,7 @@ class StronglyLogConcavePrior(_Prior):
         peak = float(unnorm(0.0))
         if edge > 1e-10 * peak:
             raise ModelError("density does not decay at the truncation boundary")
-        return integrate(unnorm, lo, hi, cfg)
+        return math.log(integrate(unnorm, lo, hi, cfg))
 
     def log_pdf(self, x):
         return -self._theta_unnorm(x) - self.log_z()
@@ -190,8 +189,8 @@ class GaussianMixturePrior(_Prior):
         hi = max(m + w * s for m, s in zip(self.means, self.sigmas))
         return (lo, hi)
 
-    def normalization_constant(self, cfg=DEFAULT_CONFIG):
-        return 1.0  # components are individually normalized
+    def _log_z(self, cfg):
+        return 0.0  # components are individually normalized
 
     def _components(self, x):
         x = np.asarray(x, dtype=float)
@@ -254,9 +253,6 @@ class GridPrior(_Prior):
                 f"query outside declared support window [{self.xs[0]}, {self.xs[-1]}]"
             )
         return arr
-
-    def normalization_constant(self, cfg=DEFAULT_CONFIG):
-        return float(np.exp(self.log_z(cfg)))  # inf past the double range
 
     def _log_z(self, cfg):
         # relative to the table's peak, so no offset of log_density under- or overflows

@@ -4,7 +4,8 @@ Each check exercises one structural fact the rest of the package leans
 on (concavity of the information density, monotone interval leakage,
 the tail bound, level-set optimality, the log-concave variance bound)
 against an independent evaluation route. Failures are results, not
-exceptions; checks raise only on unusable inputs.
+exceptions; a check raises DomainError on unusable inputs, a mechanism
+outside its hypothesis included, which run_suite reports as not applicable.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .leakage import Interval, _mass_window, interval_leakage, set_leakage_oracl
 from .mechanism import _bounded_numerator, _kernel_prob, _phi_diff
 
 _MAX_UNION_INTERVALS = 4  # random unions have 1 to this many intervals
+_NOT_LOG_CONCAVE = "prior is not declared log-concave"
 
 
 @dataclass(frozen=True)
@@ -273,18 +275,11 @@ def check_brascamp_lieb_bound(m):
 
     For a prior with curvature floor 1/beta^2 the posterior variance is
     at most (1/sigma_n^2 + 1/beta^2)^{-1}; Gaussian priors meet it with
-    equality. Priors that declare no curvature floor get a not-applicable
-    pass.
+    equality. A prior that declares no curvature floor raises DomainError.
     """
     floor = m.prior.curvature_floor()
     if floor is None:
-        return _result(
-            "brascamp_lieb_bound",
-            0.0,
-            1e-6,
-            None,
-            "not applicable: prior is not declared log-concave",
-        )
+        raise DomainError(_NOT_LOG_CONCAVE)
     bound = 1.0 / (1.0 / m.sigma_n**2 + floor)
     win_lo, win_hi = m.window
     half = 6.0 * m.sigma_y  # stay clear of truncation bias at the window edge
@@ -302,19 +297,47 @@ def check_brascamp_lieb_bound(m):
 
 # -- suite ------------------------------------------------------------------
 
-_SUITE = (
-    "concavity_identity",
-    "interval_monotonicity",
-    "tail_worst_bound",
-    "bathtub_optimality",
-    "brascamp_lieb_bound",
-)
+
+def _always(m):
+    return None
+
+
+def _monotone_hypothesis(m):
+    a0, reason = _monotone_from(m)
+    return reason if a0 is None else None
+
+
+def _suite_monotonicity(m, seed):
+    a = _monotone_from(m)[0] + 0.25 * m.sigma_y
+    b_max = min(a + 8.0 * m.sigma_y + 0.01, m.window[1])
+    return check_interval_monotonicity(m, a, b_max, 500)
+
+
+def _suite_bathtub(m, seed):
+    rng_iv = Interval(m.marginal_quantile(0.05), m.marginal_quantile(0.95))
+    x = 0.5 * (m.x_window[0] + m.x_window[1])
+    return check_bathtub_optimality(m, x, rng_iv, 0.2, 100, seed=seed + 4)
+
+
+# name -> (hypothesis, suite call), in report order. hypothesis(m) is the
+# reason m does not meet it, or None. Each call looks its check up by name
+# when it runs.
+_SUITE = {
+    "concavity_identity": (_always, lambda m, seed: check_concavity_identity(m, 100, seed=seed + 1)),
+    "interval_monotonicity": (_monotone_hypothesis, _suite_monotonicity),
+    "tail_worst_bound": (_always, lambda m, seed: check_tail_worst_bound(m, 0.1, 100, seed=seed + 3)),
+    "bathtub_optimality": (_always, _suite_bathtub),
+    "brascamp_lieb_bound": (
+        lambda m: _NOT_LOG_CONCAVE if m.prior.curvature_floor() is None else None,
+        lambda m, seed: check_brascamp_lieb_bound(m),
+    ),
+}
 
 
 def _suite_names(suite):
     """The checks "all" or a comma list selects; blank entries are dropped."""
     if suite == "all":
-        return _SUITE
+        return tuple(_SUITE)
     names = tuple(s.strip() for s in str(suite).split(",") if s.strip())
     unknown = [n for n in names if n not in _SUITE]
     if unknown:
@@ -324,45 +347,26 @@ def _suite_names(suite):
     return names
 
 
-def _suite_thunks(m, seed):
-    def monotonicity():
-        a0, reason = _monotone_from(m)
-        if a0 is None:  # declared, not run
-            return _result("interval_monotonicity", 0.0, 0.0, None, f"not applicable: {reason}")
-        a = a0 + 0.25 * m.sigma_y
-        b_max = min(a + 8.0 * m.sigma_y + 0.01, m.window[1])
-        return check_interval_monotonicity(m, a, b_max, 500)
-
-    def bathtub():
-        lo = m.marginal_quantile(0.05)
-        hi = m.marginal_quantile(0.95)
-        x = 0.5 * (m.x_window[0] + m.x_window[1])
-        return check_bathtub_optimality(m, x, Interval(lo, hi), 0.2, 100, seed=seed + 4)
-
-    return {
-        "concavity_identity": lambda: check_concavity_identity(m, 100, seed=seed + 1),
-        "interval_monotonicity": monotonicity,
-        "tail_worst_bound": lambda: check_tail_worst_bound(m, 0.1, 100, seed=seed + 3),
-        "bathtub_optimality": bathtub,
-        "brascamp_lieb_bound": lambda: check_brascamp_lieb_bound(m),
-    }
-
-
 def run_suite(m, suite="all", seed=0):
     """Run the named checks (comma list or "all") in registry order.
 
     Checks run one after another, each with its own seeded randomness,
     so the report depends only on the mechanism, the suite and the seed.
-    A check outside its hypothesis is declared a not-applicable pass
-    without running; one that runs and raises DomainError is a failure
-    with an infinite violation and details "error: <message>".
+    A check whose hypothesis m does not meet is declared not applicable
+    without running: passed, violation 0, tolerance 0, details "not
+    applicable: <reason>". One that runs and raises DomainError is a
+    failure with an infinite violation and details "error: <message>".
     """
     names = _suite_names(suite)
-    thunks = _suite_thunks(m, check_count(seed, "seed", lo=0))
+    seed = check_count(seed, "seed", lo=0)
 
     def run_one(name):
+        hypothesis, call = _SUITE[name]
+        reason = hypothesis(m)
+        if reason is not None:
+            return _result(name, 0.0, 0.0, None, f"not applicable: {reason}")
         try:
-            return thunks[name]()
+            return call(m, seed)
         except DomainError as exc:  # the check ran and verified nothing
             return _result(name, math.inf, 0.0, None, f"error: {exc}")
 

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gausspml import DomainError
 from gausspml.cli import (
-    ConfigError,
     _fuse_leading_dash_values,
     _parse_grid,
     _validate_args,
@@ -44,7 +44,7 @@ class TestGridParsing:
 
     @pytest.mark.parametrize("bad", ["0.4:0.1:0.1", "0:1:0", "a,b", "1:2", ""])
     def test_bad_specs(self, bad):
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             _parse_grid(bad, "deltas")
 
     def test_point_count_capped(self, capsys):
@@ -52,7 +52,7 @@ class TestGridParsing:
         # allocate 10^12 floats
         assert len(_parse_grid("0:999999:1", "y-grid")) == 10**6
         for spec in ("0:1000000:1", "0:1:1e-12", "0:inf:1", "0:1:1e-320"):
-            with pytest.raises(ConfigError, match="more than 1000000 points"):
+            with pytest.raises(DomainError, match="more than 1000000 points"):
                 _parse_grid(spec, "y-grid")
         code, out, err = _run(capsys, "posterior", "--y-grid", "0:1:1e-9")
         assert (code, out) == (2, "")
@@ -186,6 +186,23 @@ class TestVerifyCommand:
         assert code == 1
         assert _rows(out)[0]["passed"] == "false"
 
+    def test_json_report_is_strict_json_when_a_check_errors(self, capsys, monkeypatch):
+        import gausspml.verify as verify_mod
+
+        def broken(*args, **kwargs):
+            raise DomainError("planted domain error")
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        monkeypatch.setattr(verify_mod, "check_tail_worst_bound", broken)
+        code, out, _ = _run(capsys, "verify", "--suite", "tail_worst_bound", "--format", "json")
+        assert code == 1
+        (rec,) = json.loads(out, parse_constant=reject)
+        assert (rec["passed"], rec["worst_violation"]) == (False, "inf")
+        code, out, _ = _run(capsys, "verify", "--suite", "tail_worst_bound")
+        assert _rows(out)[0]["worst_violation"] == "inf"
+
     def test_suite_list_parsed_like_run_suite(self, capsys):
         # a trailing comma selects the named check, as run_suite reads it
         code, out, err = _run(capsys, "verify", "--suite", "concavity_identity,")
@@ -264,7 +281,7 @@ class TestConfigFile:
         base.update(patch)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(base))
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(DomainError) as err:
             parse_config(str(cfg))
         assert fragment in str(err.value)
 
@@ -284,19 +301,19 @@ class TestConfigFile:
                 }
             )
         )
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(DomainError) as err:
             parse_config(str(cfg))
         assert "weights" in str(err.value)
 
     def test_json_error_reports_line(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{\n  "prior": oops\n}')
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(DomainError) as err:
             parse_config(str(cfg))
         assert "line 2" in str(err.value)
 
     def test_missing_file(self):
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(DomainError) as err:
             parse_config("/nonexistent/cfg.json")
         assert "not found" in str(err.value)
 
@@ -602,5 +619,5 @@ class TestMalformedConfig:
             rc = parse_config(str(cfg_file))
             if rc.command is not None:
                 _validate_args(rc.command, dict(rc.command_args))
-        except ConfigError:
+        except DomainError:
             pass

@@ -164,10 +164,23 @@ class TestBrascampLieb:
         assert r.worst_violation < -0.1  # quartic tilt shrinks the posterior
 
     def test_mixture_not_applicable(self, mixture):
-        r = check_brascamp_lieb_bound(mixture)
+        with pytest.raises(DomainError, match="prior is not declared log-concave"):
+            check_brascamp_lieb_bound(mixture)
+        (r,) = run_suite(mixture, "brascamp_lieb_bound")
         assert r.passed
         assert "not applicable" in r.details
         assert r.worst_violation == 0.0
+
+    @pytest.mark.parametrize("fixture", ["mixture", "oscillating"])
+    def test_suite_declares_not_applicable_like_monotonicity(self, fixture, request, wide_gaussian):
+        # one shape for "does not apply", whichever check declares it
+        (r,) = run_suite(request.getfixturevalue(fixture), "brascamp_lieb_bound")
+        (ref,) = run_suite(wide_gaussian, "interval_monotonicity")
+        for res in (r, ref):
+            assert res.details.startswith("not applicable: ")
+            assert (res.passed, res.worst_violation, res.tolerance, res.location) == (
+                True, 0.0, 0.0, None)
+        assert r.details == "not applicable: prior is not declared log-concave"
 
 
 class TestRunSuite:
@@ -228,7 +241,7 @@ class TestRunSuite:
         assert r_tail.details == "error: planted domain error"
 
     def test_suite_names(self):
-        assert _suite_names("all") == _SUITE
+        assert _suite_names("all") == tuple(_SUITE)
         assert _suite_names(" bathtub_optimality , concavity_identity,") == (
             "bathtub_optimality",
             "concavity_identity",
