@@ -62,7 +62,7 @@ _ARG_FIELDS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully validated description of one CLI run."""
+    """Description of one CLI run; run() validates command_args."""
 
     prior: object
     sigma_n: float
@@ -237,10 +237,9 @@ def _validate_args(command, args):
 
 
 def _resolve(ns):
-    """Merge config file and flags into a validated RunConfig."""
+    """Merge config file and flags into a RunConfig."""
     rc = parse_config(ns.config) if ns.config is not None else RunConfig(GaussianPrior(1.0), 1.0)
     command = ns.command or rc.command
-    _require(command is not None, "no command: give a subcommand or a config 'command' field")
 
     # config command_args belong to the config's own command; drop them
     # when the subcommand overrides it
@@ -256,7 +255,6 @@ def _resolve(ns):
         args["suite"] = ns.suite
     if ns.max_cells is not None:
         args["max_cells"] = ns.max_cells
-    args = _validate_args(command, args)
 
     return replace(
         rc,
@@ -393,8 +391,9 @@ _RUNNERS = {
 
 
 def run(rc):
-    """Execute a validated RunConfig; returns (output text, success)."""
-    _validate_args(rc.command, dict(rc.command_args))
+    """Validate rc's command_args, then execute it; returns (output text, success)."""
+    _require(rc.command is not None, "no command: give a subcommand or a config 'command' field")
+    rc = replace(rc, command_args=_validate_args(rc.command, dict(rc.command_args)))
     m = Mechanism(rc.prior, rc.sigma_n, rc.quadrature)
     return _RUNNERS[rc.command](m, rc)
 

@@ -138,10 +138,8 @@ def _side_value(m, masses, right):
     Quantiles come from the cached CDF table; exact values are
     recomputed once at the end of the search.
     """
-    F, Y = m._Fy_grid, m.y_grid
     cum = np.cumsum(masses)
-    ps = 1.0 - cum if right else cum
-    cuts = np.interp(ps, F, Y)
+    cuts = m._table_quantile(1.0 - cum if right else cum)
     value = -math.log(max(masses[0], _MASS_FLOOR))
     for i in range(1, len(masses)):
         numer = _bounded_numerator(abs(cuts[i] - cuts[i - 1]), m.sigma_n)
@@ -203,28 +201,19 @@ def _refine_allocation(m, kl, w, delta):
 
 def _exact_partition(m, kl, w, delta):
     """Polished quantile cuts, witness partition, exact min bad leakage."""
-    wl = list(w[:kl])
-    wr = list(w[kl:][::-1])  # outermost first
+    left = [m.marginal_quantile(c) for c in np.cumsum(w[:kl])]
+    right = [m.marginal_quantile(1.0 - c) for c in np.cumsum(w[kl:][::-1])]  # outermost first
+    cuts = [-math.inf] + left + right[::-1] + [math.inf]
+    n = len(cuts) - 1  # cells; cell kl is the core
     cells, labels, bad_leaks = [], [], []
-    left_cuts = [m.marginal_quantile(c) for c in np.cumsum(wl)] if wl else []
-    right_cuts = [m.marginal_quantile(1.0 - c) for c in np.cumsum(wr)] if wr else []
-
-    prev = -math.inf
-    for i, cut in enumerate(left_cuts):
-        cell = Interval(prev, cut)
-        cells.append(cell)
-        labels.append("left_tail" if i == 0 else f"left_{i}")
-        bad_leaks.append(float(interval_leakage(m, cell)))
-        prev = cut
-    core_hi = right_cuts[-1] if right_cuts else math.inf
-    cells.append(Interval(prev, core_hi))
-    labels.append("core")
-    for i in range(len(right_cuts) - 1, -1, -1):
-        hi = right_cuts[i - 1] if i > 0 else math.inf
-        cell = Interval(right_cuts[i], hi)
-        cells.append(cell)
-        labels.append(f"right_{i}" if i > 0 else "right_tail")
-        bad_leaks.append(float(interval_leakage(m, cell)))
+    for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+        cells.append(Interval(lo, hi))
+        if i == kl:
+            labels.append("core")
+            continue
+        side, j = ("left", i) if i < kl else ("right", n - 1 - i)  # j counts from the tail
+        labels.append(f"{side}_{j}" if j else f"{side}_tail")
+        bad_leaks.append(float(interval_leakage(m, cells[-1])))
     part = FinitePartition(tuple(cells), tuple(labels))
     return LeakageNats(min(bad_leaks)), part
 
@@ -243,7 +232,6 @@ def envelope_bruteforce_lower_bound(m, delta, max_cells):
     max_cells = check_count(max_cells, "max_cells", lo=1, hi=6)
 
     unit = delta / _UNITS
-    F, Y = m._Fy_grid, m.y_grid
     f_lo, f_hi = m.level_window
     iu = np.arange(1, _UNITS + 1) * unit
     sides = []
@@ -251,7 +239,7 @@ def envelope_bruteforce_lower_bound(m, delta, max_cells):
         # a cut whose quantile level lies outside the level window falls
         # outside the working window: every slice ending there is infeasible
         ok = (p > f_lo) & (p <= f_hi)
-        interior = _interior_leak_matrix(np.interp(p, F, Y), unit, m.sigma_n)
+        interior = _interior_leak_matrix(m._table_quantile(p), unit, m.sigma_n)
         interior[:, ~ok] = -np.inf
         sides.append(_side_best(np.where(ok, -np.log(iu), -np.inf), interior, max_cells))
     (best_l, choice_l), (best_r, choice_r) = sides
@@ -299,12 +287,7 @@ def delta0_estimate(m):
     M = m.unimodal_tail_threshold()
     if M is None:
         return None
-    fy, (f_lo, f_hi) = m._fy_grid, m.level_window
-
-    def edge_runs_only(tau):
-        above = np.nonzero(fy > tau)[0]  # {f_Y > tau}: one run, or empty
-        return above.size == 0 or above[-1] - above[0] + 1 == above.size
-
+    f_lo, f_hi = m.level_window
     for k in range(31, 0, -1):
         delta = k / 64.0
         if delta <= f_lo or 1.0 - delta > f_hi:  # delta < 1/2 < 1 - delta
@@ -315,7 +298,7 @@ def delta0_estimate(m):
             continue
         tau_l = m.marginal_density(b_cut)
         tau_r = m.marginal_density(a_cut)
-        if edge_runs_only(tau_l) and edge_runs_only(tau_r):
+        if m._superlevel_is_run(tau_l) and m._superlevel_is_run(tau_r):
             return delta
     return None
 

@@ -117,14 +117,10 @@ class FinitePartition:
 
     def outcome_unions(self):
         """Label -> list of member cells, in first-appearance order."""
-        order = []
         groups = {}
         for cell, lab in zip(self.cells, self.labels):
-            if lab not in groups:
-                groups[lab] = []
-                order.append(lab)
-            groups[lab].append(cell)
-        return [(lab, groups[lab]) for lab in order]
+            groups.setdefault(lab, []).append(cell)
+        return list(groups.items())
 
 
 # -- event masses -------------------------------------------------------
@@ -265,11 +261,6 @@ def tail_thresholds(m, delta_left, delta_right):
     return (m.marginal_quantile(delta_left), m.marginal_quantile(1.0 - delta_right))
 
 
-def _mass_end_table(m, u, delta):
-    """F_Y^{-1}(F_Y(u) + delta) read off the cached CDF table, for an array u."""
-    return np.interp(np.interp(u, m.y_grid, m._Fy_grid) + delta, m._Fy_grid, m.y_grid)
-
-
 def _mass_end(m, u, delta):
     """F_Y^{-1}(F_Y(u) + delta) by exact quantile, the level capped below 1."""
     return m.marginal_quantile(min(m.marginal_cdf(u) + delta, 1.0 - 1e-15))
@@ -299,7 +290,7 @@ def _mass_window(m, rng, delta, score, n=512):
     us = np.linspace(rng.lo, u_max, n)
     u_star, _ = refine_max(
         lambda u: score(u, _mass_end(m, u, delta)),
-        us, score(us, _mass_end_table(m, us, delta)), 1e-10,
+        us, score(us, m._table_quantile(m._table_cdf(us) + delta)), 1e-10,
     )
     ends = {u: _mass_end(m, u, delta) for u in (u_star, rng.lo, u_max)}
     best = max(ends, key=lambda u: score(u, ends[u]))  # ties keep the polish

@@ -6,8 +6,9 @@ noise kernel against the prior's quadrature nodes, computed by the one
 banded reduction `_kernel_reduce`; event masses are kernel probabilities
 summed by `Mechanism._mass`. This module alone holds the nodes and the
 kernel's special functions. Construction tabulates f_Y, f_Y' and F_Y on
-the y grid; the instance is immutable afterwards and all queries are
-safe to run concurrently.
+the y grid, and other modules read that table only through Mechanism's
+methods; the instance is immutable afterwards and all queries are safe
+to run concurrently.
 """
 
 from __future__ import annotations
@@ -359,6 +360,14 @@ class Mechanism:
 
         return find_root_increasing(g, lo, hi, tol, x0)
 
+    def _table_quantile(self, ps):
+        """F_Y^{-1} at an array of levels, interpolated in the cached table."""
+        return np.interp(ps, self._Fy_grid, self.y_grid)
+
+    def _table_cdf(self, ys):
+        """F_Y at an array of points, interpolated in the cached table."""
+        return np.interp(ys, self.y_grid, self._Fy_grid)
+
     # -- posterior statistics ---------------------------------------------
 
     def posterior_mean(self, y):
@@ -433,3 +442,8 @@ class Mechanism:
 
         m_right, m_left = right_tail(y, d), right_tail(-y[::-1], -d[::-1])
         return None if m_right is None or m_left is None else max(m_right, m_left)
+
+    def _superlevel_is_run(self, tau):
+        """Whether {f_Y > tau} is one run of the cached grid, or empty."""
+        above = np.nonzero(self._fy_grid > tau)[0]
+        return above.size == 0 or above[-1] - above[0] + 1 == above.size

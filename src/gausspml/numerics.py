@@ -54,10 +54,7 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 
 def std_normal_pdf(x):
-    """Standard normal density phi(x) = exp(-x^2/2)/sqrt(2*pi)."""
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        x = check_number(float(x), "x")
-        return math.exp(-0.5 * x * x - _LOG_SQRT_2PI)
+    """Standard normal density phi(x) = exp(-x^2/2)/sqrt(2*pi), elementwise."""
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("x must be finite")

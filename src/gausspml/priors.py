@@ -58,7 +58,8 @@ class _Prior:
         return self._z_cache[cfg]
 
     def normalization_constant(self, cfg=DEFAULT_CONFIG):
-        return float(np.exp(self.log_z(cfg)))  # inf past the double range
+        with np.errstate(over="ignore"):  # inf past the double range
+            return float(np.exp(self.log_z(cfg)))
 
     def density(self, x):
         return np.exp(self.log_pdf(x))

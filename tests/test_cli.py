@@ -17,6 +17,7 @@ from gausspml.cli import (
     _validate_args,
     main,
     parse_config,
+    run,
 )
 
 
@@ -316,6 +317,37 @@ class TestConfigFile:
         with pytest.raises(DomainError) as err:
             parse_config("/nonexistent/cfg.json")
         assert "not found" in str(err.value)
+
+
+class TestRunParsedConfig:
+    @pytest.mark.parametrize(
+        "command, args",
+        [
+            ("envelope", {"deltas": [0.05, 0.2]}),  # max_cells left at its default
+            ("leakage", {"interval": ["-inf", 1.0]}),  # an endpoint spelled as a string
+        ],
+    )
+    def test_run_matches_main(self, capsys, tmp_path, command, args):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "prior": {"type": "gaussian", "sigma_x": 1.0},
+                    "sigma_n": 1.0,
+                    "command": command,
+                    "command_args": args,
+                }
+            )
+        )
+        text, ok = run(parse_config(str(cfg)))
+        assert ok
+        assert _run(capsys, "--config", str(cfg)) == (0, text, "")
+
+    def test_no_command_is_a_config_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prior": {"type": "gaussian", "sigma_x": 1.0}, "sigma_n": 1.0}))
+        with pytest.raises(DomainError, match="no command"):
+            run(parse_config(str(cfg)))
 
 
 class TestExitCodes:

@@ -23,7 +23,7 @@ from gausspml import (
     validate_partition,
     worst_interval_search,
 )
-from gausspml.leakage import _mass_end, _mass_end_table
+from gausspml.leakage import _mass_end
 from gausspml.mechanism import _kernel_prob, _phi_diff
 from oracles import trapz_interval_mass
 
@@ -292,7 +292,7 @@ class TestWorstIntervalSearch:
         # Y ~ N(0, 2): the end v of a mass-delta interval from u is exact
         # in the quantile route and close in the table route
         us = np.linspace(-3.0, 1.0, 9)
-        table = _mass_end_table(canonical, us, 0.1)
+        table = canonical._table_quantile(canonical._table_cdf(us) + 0.1)
         for u, v_table in zip(us, table):
             p = mpmath.ncdf(mpmath.mpf(u) / mpmath.sqrt(2)) + mpmath.mpf("0.1")
             v = float(2 * mpmath.erfinv(2 * p - 1))  # sqrt(2) * Phi^-1(p)

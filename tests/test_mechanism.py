@@ -528,7 +528,8 @@ class TestLevelWindow:
 
 
 def test_only_mechanism_holds_the_nodes_and_scipy():
-    # every kernel sum and special function goes through mechanism.py
+    # every kernel sum, special function and cached-table read goes
+    # through mechanism.py
     import re
 
     pkg = os.path.dirname(mechanism.__file__)
@@ -538,6 +539,7 @@ def test_only_mechanism_holds_the_nodes_and_scipy():
         with open(os.path.join(pkg, name), encoding="utf-8") as fh:
             text = fh.read()
         assert not re.search(r"\._(xs|wfx)\b", text), name
+        assert not re.search(r"\._(fy_grid|dfy_grid|Fy_grid)\b", text), name
         assert not re.search(r"^\s*(from|import)\s+scipy\b", text, re.M), name
 
 

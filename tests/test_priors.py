@@ -1,6 +1,7 @@
 """Prior families: construction domains, densities, curvature, JSON."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,12 @@ class TestGridPrior:
             shifted = GridPrior(tuple(xs), tuple(-0.5 * xs**2 + offset))
             assert shifted.log_z() == pytest.approx(base.log_z() + offset, rel=1e-15)
             np.testing.assert_allclose(shifted.density(probe), base.density(probe), rtol=1e-12)
+
+    def test_overflowing_z_is_inf_without_warning(self):
+        prior = GridPrior((0.0, 1.0, 2.0), (800.0, 800.0, 799.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert normalization_constant(prior) == math.inf
 
     def test_curvature_needs_three_points(self):
         prior = GridPrior((0.0, 1.0), (0.0, -1.0))
