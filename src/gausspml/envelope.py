@@ -317,15 +317,16 @@ def _closed_form_test(m):
     """Predicate on delta: does the closed form log(2/delta) apply on m?
 
     A Gaussian prior decides by its variance ratio alone. Any other prior
-    goes through condition_report, and delta0_estimate runs only once
-    every other hypothesis holds.
+    must have full support and zero mean before condition_report runs,
+    and delta0_estimate runs only once every other hypothesis holds.
     """
     ratio_ok = m.prior.gaussian_ratio_ok(m.sigma_n)
     if ratio_ok is not None:
         return lambda delta: ratio_ok and delta < 0.5
+    if not (m.prior.is_full_support and abs(m._x_mean) <= 1e-8):
+        return lambda delta: False
     report = condition_report(m)
-    centered = m.prior.is_full_support and abs(m._x_mean) <= 1e-8
-    if not (report.variance_ok and centered and report.tail_unimodal_M is not None):
+    if not (report.variance_ok and report.tail_unimodal_M is not None):
         return lambda delta: False
     delta0 = delta0_estimate(m)
     return lambda delta: delta0 is not None and delta <= delta0

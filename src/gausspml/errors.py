@@ -23,7 +23,7 @@ class PreconditionError(GaussPmlError, ValueError):
 
 
 class ModelError(GaussPmlError):
-    """A supplied model is unusable (e.g. non-normalizable density)."""
+    """A supplied model is unusable; kept for callers, the package raises none."""
 
 
 class NumericalError(GaussPmlError, RuntimeError):

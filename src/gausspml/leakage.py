@@ -7,6 +7,7 @@ oracle so each can cross-check the other.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -288,11 +289,12 @@ def _mass_window(m, rng, delta, score, n=512):
         raise DomainError(f"delta must lie strictly between 0 and P_Y(range)={p_range!r}")
     u_max = min(max(m.marginal_quantile(f_hi - delta), rng.lo), rng.hi)
     us = np.linspace(rng.lo, u_max, n)
+    end = functools.cache(lambda u: _mass_end(m, u, delta))  # the polish ends on u_star
     u_star, _ = refine_max(
-        lambda u: score(u, _mass_end(m, u, delta)),
+        lambda u: score(u, end(u)),
         us, score(us, m._table_quantile(m._table_cdf(us) + delta)), 1e-10,
     )
-    ends = {u: _mass_end(m, u, delta) for u in (u_star, rng.lo, u_max)}
+    ends = {u: end(u) for u in (u_star, rng.lo, u_max)}
     best = max(ends, key=lambda u: score(u, ends[u]))  # ties keep the polish
     return Interval(best, min(ends[best], rng.hi))
 

@@ -32,7 +32,6 @@ _TILE = 64  # nodes per pairwise partial sum of F_Y (see _kernel_reduce)
 # largest |raw node sum - 1| of the prior (see _node_weights); a kinked
 # strongly log-concave prior such as SLC(1, 1, 1.1) misses by 5e-7
 _MASS_TOL = 1e-6
-_CDF_ROUNDOFF = 1e-14  # table-vs-direct F_Y gap taken as roundoff (<= 4.4e-16 on the fixtures)
 
 # Past these standardized distances z = (y - x)/sigma_n a kernel entry is an
 # exact double constant, so _kernel_reduce never evaluates it: ndtr(z) == 1.0
@@ -86,12 +85,12 @@ def _kernel_reduce(ys, xs, wfx, tile_cdf, sigma_n, terms):
 
     F_Y is summed over whole _TILE-node tiles: the ndtr band is filled
     out to tile edges with its exact ones and zeros, and the tiles left
-    of it enter through the prefix tile_cdf. When ys holds more than one
-    y, each tile is summed pairwise and the tiles left to right, the
-    order of the full tiled sum, so F_Y at a given y is the same double
-    whatever block it falls in, and it does not decrease along any grid
-    coarser than the roundoff of ndtr itself. A lone y takes one dot
-    product over its tiles instead.
+    of it enter through the prefix tile_cdf. Each tile is summed pairwise
+    and the tiles left to right, the order of the full tiled sum, so F_Y
+    at a given y is the same double whatever the shape of the call (a
+    lone y, an array, the cached table) and whatever block it falls in,
+    and it does not decrease along any grid coarser than the roundoff of
+    ndtr itself.
     """
     arr = np.asarray(ys, dtype=float)
     flat = arr.reshape(-1)
@@ -100,9 +99,6 @@ def _kernel_reduce(ys, xs, wfx, tile_cdf, sigma_n, terms):
     dense = [(i, _DENSITY_TERMS[t]) for i, t in enumerate(terms) if t != "cdf"]
     cdf = terms.index("cdf") if "cdf" in terms else None
     d_exp, d_one, d_zero = _Z_EXP * sigma_n, _Z_ONE * sigma_n, _Z_ZERO * sigma_n
-    # a lone y has no other y in the call for its F_Y to be ordered against:
-    # one BLAS dot costs it less than the fixed-order tile sums
-    ordered = flat.size > 1
     n_exp = n_ndtr = 0
     for s in range(0, flat.size, _CHUNK):
         y = flat[s:s + _CHUNK]
@@ -124,21 +120,18 @@ def _kernel_reduce(ys, xs, wfx, tile_cdf, sigma_n, terms):
                 out[i, s:s + y.size] = fn(z, k, xs[e0:e1], wfx[e0:e1], sigma_n) * knorm
         if cdf is not None:
             # whole tiles [a0, a1): exact ones before c0, exact zeros from c1
-            a0, a1 = c0 - c0 % _TILE, c1 + (-c1 % _TILE if ordered else 0)
+            a0, a1 = c0 - c0 % _TILE, c1 + (-c1 % _TILE)
             phi = np.empty((y.size, a1 - a0))
             phi[:, :c0 - a0] = 1.0
             _sp.ndtr(z[:, c0 - b0:c1 - b0], out=phi[:, c0 - a0:c1 - a0])
             phi[:, c1 - a0:] = 0.0
             n_ndtr += y.size * (c1 - c0)
-            if ordered:
-                n_tiles = (a1 - a0) // _TILE
-                phi *= wfx[a0:a1]
-                acc = np.empty((y.size, 1 + n_tiles))
-                acc[:, 0] = tile_cdf[a0 // _TILE]
-                phi.reshape(y.size, n_tiles, _TILE).sum(axis=2, out=acc[:, 1:])
-                out[cdf, s:s + y.size] = np.add.accumulate(acc, axis=1, out=acc)[:, -1]
-            else:
-                out[cdf, s] = phi[0] @ wfx[a0:a1] + tile_cdf[a0 // _TILE]
+            n_tiles = (a1 - a0) // _TILE
+            phi *= wfx[a0:a1]
+            acc = np.empty((y.size, 1 + n_tiles))
+            acc[:, 0] = tile_cdf[a0 // _TILE]
+            phi.reshape(y.size, n_tiles, _TILE).sum(axis=2, out=acc[:, 1:])
+            out[cdf, s:s + y.size] = np.add.accumulate(acc, axis=1, out=acc)[:, -1]
     with _EVALS_LOCK:
         _EVALS["exp"] += n_exp
         _EVALS["ndtr"] += n_ndtr
@@ -283,7 +276,7 @@ class Mechanism:
 
     @property
     def level_window(self):
-        """(lo, hi), F_Y at the grid ends: marginal_quantile takes lo < p <= hi."""
+        """(lo, hi) = marginal_cdf at the grid ends: marginal_quantile takes lo < p <= hi."""
         return (float(self._Fy_grid[0]), float(self._Fy_grid[-1]))
 
     @property
@@ -310,7 +303,7 @@ class Mechanism:
         out = self._reduce(ys, terms)
         f = out[0].ravel()
         if np.any(f <= 0.0):
-            bad = np.asarray(ys, dtype=float).ravel()[np.argmax(f <= 0.0)]
+            bad = float(np.asarray(ys, dtype=float).ravel()[np.argmax(f <= 0.0)])
             raise DomainError(
                 f"marginal density underflows at y={bad!r}; outside the working window"
             )
@@ -328,7 +321,7 @@ class Mechanism:
         return float(f) if np.ndim(y) == 0 else f
 
     def marginal_cdf(self, y):
-        """F_Y(y) by direct quadrature (not the cached table)."""
+        """F_Y(y) by direct quadrature; at a grid node it equals the cached table."""
         (out,) = self._reduce(y, ("cdf",))
         out = out.clip(0.0, 1.0)
         return float(out) if np.ndim(y) == 0 else out
@@ -336,8 +329,9 @@ class Mechanism:
     def marginal_quantile(self, p):
         """F_Y^{-1}(p) by safeguarded Newton on the direct-quadrature CDF.
 
-        The cached table gives the bracket [grid[k-1], grid[k]] and the
-        start, by linear interpolation. Each iterate is one kernel pass
+        The cached table, whose entries are the F_Y doubles an iterate
+        computes at its nodes, gives the bracket [grid[k-1], grid[k]] and
+        the start, by linear interpolation. Each iterate is one kernel pass
         returning F_Y and its slope f_Y; the result is the midpoint of a
         bracket no wider than 1e-12 max(1, |bracket end|) on which
         F_Y - p takes both signs (see find_root_increasing).
@@ -353,10 +347,7 @@ class Mechanism:
 
         def g(t):
             F, f = self._reduce(t, ("cdf", "f"))
-            v = float(F) - p
-            if abs(v) <= _CDF_ROUNDOFF and t in (lo, hi):  # the table's sign stands
-                v = min(v, 0.0) if t == lo else max(v, 0.0)
-            return v, float(f)
+            return float(F) - p, float(f)
 
         return find_root_increasing(g, lo, hi, tol, x0)
 

@@ -58,8 +58,8 @@ def _union_sampler(m, window=None):
     in the window. F_Y at the window ends is evaluated once, here.
     """
     win_lo, win_hi = window if window is not None else m.window
-    f_lo, f_hi = m.marginal_cdf(win_lo), m.marginal_cdf(win_hi)
-    lv_lo, lv_hi = m.level_window
+    lv_lo, lv_hi = m.level_window  # F_Y at the working window's ends
+    f_lo, f_hi = (lv_lo, lv_hi) if window is None else map(m.marginal_cdf, window)
 
     def draw(rng, target):
         if not 0.0 < target < f_hi - f_lo:

@@ -51,6 +51,11 @@ def normal_pdf(x):
     return INV_SQRT_2PI * np.exp(-0.5 * np.asarray(x, dtype=float) ** 2)
 
 
+def trapezoid(y, x):
+    """Trapezoid rule for samples y on the nodes x, written out in plain numpy."""
+    return float(np.sum(np.diff(x) * (y[1:] + y[:-1])) / 2.0)
+
+
 def trapz_posterior_moments(prior_density, sigma_n, y, x_lo, x_hi, n=40001):
     """Posterior moments of X given Y=y by dense trapezoid quadrature.
 
@@ -61,9 +66,9 @@ def trapz_posterior_moments(prior_density, sigma_n, y, x_lo, x_hi, n=40001):
     fx = np.asarray(prior_density(xs), dtype=float)
     kern = normal_pdf((y - xs) / sigma_n) / sigma_n
     w = fx * kern
-    m0 = np.trapezoid(w, xs)
-    m1 = np.trapezoid(xs * w, xs)
-    m2 = np.trapezoid(xs * xs * w, xs)
+    m0 = trapezoid(w, xs)
+    m1 = trapezoid(xs * w, xs)
+    m2 = trapezoid(xs * xs * w, xs)
     mean = m1 / m0
     var = m2 / m0 - mean * mean
     return m0, mean, var
@@ -75,7 +80,7 @@ def trapz_interval_mass(prior_density, sigma_n, lo, hi, x_lo, x_hi, n=40001):
     fx = np.asarray(prior_density(xs), dtype=float)
     phi_hi = np.array([normal_cdf_oracle(v) for v in (hi - xs) / sigma_n])
     phi_lo = np.array([normal_cdf_oracle(v) for v in (lo - xs) / sigma_n])
-    return float(np.trapezoid(fx * (phi_hi - phi_lo), xs))
+    return trapezoid(fx * (phi_hi - phi_lo), xs)
 
 
 def conjugate_posterior_mean(sigma_x, sigma_n, y):

@@ -507,6 +507,16 @@ class TestFlagOverrides:
             outs.append(out)
         assert outs[0] == outs[1] == outs[2]
 
+    @pytest.mark.parametrize("xs, logd", [([-3, 3], [0, -1]), ([-3, 0, 3], [-2, 0, -2])])
+    def test_small_grid_envelope_exits_zero(self, capsys, tmp_path, xs, logd):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prior": {"type": "grid", "xs": xs, "log_density": logd},
+                                   "sigma_n": 1}))
+        code, out, err = _run(capsys, "envelope", "--config", str(cfg), "--deltas", "0.1",
+                              "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)[0]["regime"] == "LowerBoundOnly"
+
     def test_wide_gaussian_verify_exits_zero(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"prior": {"type": "gaussian", "sigma_x": 2.0},

@@ -7,6 +7,8 @@ import pytest
 from gausspml import (
     DomainError,
     GaussianPrior,
+    GridPrior,
+    Mechanism,
     interval_leakage,
     partition_delta_quantile,
     validate_partition,
@@ -236,6 +238,24 @@ class TestEnvelopeCurve:
         assert len(calls) == (0 if fixture != "slc" else 2)
         expected = "LowerBoundOnly" if fixture == "wide_gaussian" else "ClosedForm"
         assert [p.regime for p in curve] == [expected, expected]
+
+    @pytest.mark.parametrize("xs, logd", [
+        ((-3.0, 3.0), (0.0, -1.0)),
+        ((-3.0, 0.0, 3.0), (-2.0, 0.0, -2.0)),
+        ((-3.0, -1.0, 1.0, 3.0), (-2.0, 0.0, 0.0, -2.0)),
+    ])
+    def test_small_grid_prior_falls_back_without_condition_report(self, xs, logd, monkeypatch):
+        # a grid prior lacks full support, which rules out the closed form
+        # before any curvature check could reject its few points
+        m = Mechanism(GridPrior(xs, logd), 1.0)
+
+        def unreachable(mech):
+            raise AssertionError("condition_report ran although the closed form is ruled out")
+
+        monkeypatch.setattr(envelope_module, "condition_report", unreachable)
+        (point,) = envelope_curve(m, (0.1,), max_cells=2)
+        assert point.regime == "LowerBoundOnly"
+        assert (point.epsilon_d, point.witness) == envelope_bruteforce_lower_bound(m, 0.1, 2)
 
     def test_slc_estimates_delta0_once_per_curve(self, slc, monkeypatch):
         calls = []

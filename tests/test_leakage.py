@@ -197,6 +197,14 @@ class TestSetLeakageOracle:
         with pytest.raises(DomainError):
             set_leakage_oracle(canonical, [Interval(0.0, 1.0), Interval(0.5, 2.0)])
 
+    def test_empty_union_rejected(self, canonical):
+        with pytest.raises(DomainError, match="at least one interval"):
+            set_leakage_oracle(canonical, [])
+
+    def test_union_without_mass_rejected(self, canonical):
+        with pytest.raises(DomainError, match="no output mass"):
+            set_leakage_oracle(canonical, [(200.0, 201.0), (300.0, 301.0)])
+
 
 class TestFinitePartition:
     def _three_cell(self):
@@ -219,6 +227,22 @@ class TestFinitePartition:
             FinitePartition(
                 (Interval(0.0, 2.0), Interval(1.0, 3.0)), ("a", "b")
             )
+
+    @pytest.mark.parametrize(
+        "cells, labels, fragment",
+        [
+            ((), (), "at least one cell"),
+            ((Interval(-INF, 0.0), Interval(0.0, INF)), ("a",), "equal length"),
+            (((-INF, INF),), ("a",), "Interval instances"),
+        ],
+    )
+    def test_malformed_rejected(self, cells, labels, fragment):
+        with pytest.raises(DomainError, match=fragment):
+            FinitePartition(cells, labels)
+
+    def test_validate_rejects_a_non_partition(self, canonical):
+        with pytest.raises(DomainError, match="expected a FinitePartition"):
+            validate_partition(canonical, "x")
 
     def test_validate_accepts_window_tiling(self, canonical):
         validate_partition(canonical, self._three_cell())
@@ -362,6 +386,10 @@ class TestPartitionJson:
             ({"cells": [{"lo": 0.0, "hi": 1.0}]}, "label"),
             ({"cells": [{"lo": "oops", "hi": 1.0, "label": "a"}]}, "/cells/0"),
             ({"cells": [{"lo": 0.0, "hi": 1.0, "label": "a", "color": 1}]}, "color"),
+            ({"cells": [{"lo": 0.0, "hi": 1.0, "label": 3}]}, "/cells/0/label: must be a string"),
+            ({"cells": [{"lo": 1.0, "hi": 0.0, "label": "a"}]}, "/cells/0: requires lo <= hi"),
+            ({"cells": [{"lo": 0.0, "hi": 2.0, "label": "a"},
+                        {"lo": 1.0, "hi": 3.0, "label": "b"}]}, "/cells: cells overlap"),
         ],
     )
     def test_pointer_in_errors(self, obj, fragment):

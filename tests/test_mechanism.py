@@ -34,6 +34,8 @@ from oracles import (
     trapz_posterior_moments,
 )
 
+FIXTURES = ["canonical", "wide_gaussian", "slc", "mixture", "oscillating"]
+
 
 def _mixture_marginal(weights, means, sigmas, sigma_n, y):
     # noise adds in variance componentwise, so the marginal is again a
@@ -112,8 +114,7 @@ class TestConstruction:
                            match=r"is 0\.5 at panel_count=2048, expected 1"):
             Mechanism(prior, 1.0)
 
-    @pytest.mark.parametrize("fixture", ["canonical", "wide_gaussian", "slc", "mixture",
-                                         "oscillating"])
+    @pytest.mark.parametrize("fixture", FIXTURES)
     def test_prior_normalized_on_the_nodes(self, fixture, request):
         m = request.getfixturevalue(fixture)
         assert math.fsum(m._wfx) == pytest.approx(1.0, rel=0, abs=1e-15)
@@ -206,6 +207,14 @@ class TestMarginal:
         for p in (0.0, 1.0, -0.2, 2.0, 1e-300):
             with pytest.raises(DomainError):
                 canonical.marginal_quantile(p)
+
+    @pytest.mark.parametrize("method", ["marginal_density", "posterior_mean",
+                                        "posterior_variance"])
+    def test_underflow_names_the_plain_y(self, canonical, method):
+        with pytest.raises(DomainError, match=r"underflows at y=1000\.0; outside"):
+            getattr(canonical, method)(1e3)
+        with pytest.raises(DomainError, match=r"underflows at y=-1000\.0; outside"):
+            getattr(canonical, method)(np.array([0.0, -1e3]))
 
     def test_density_positive_on_window(self, slc):
         lo, hi = slc.window
@@ -324,12 +333,16 @@ class TestKernelBand:
             self._assert_matches_dense(ys, nodes, xs, w, 0.5)
 
     def test_cdf_same_in_any_block(self, oscillating):
-        # a y's F_Y does not depend on which other ys share its block
+        # a y's F_Y does not depend on which other ys share its block, or
+        # on whether any do
         ys = np.random.default_rng(5).uniform(-5.5, 5.5, 300)
         (whole,) = oscillating._reduce(ys, ("cdf",))
         for i in range(0, 300, 37):
             (pair,) = oscillating._reduce(ys[[i, -1 - i]], ("cdf",))
             assert pair[0] == whole[i] and pair[1] == whole[-1 - i]
+            (one,) = oscillating._reduce(ys[[i]], ("cdf",))
+            (lone,) = oscillating._reduce(float(ys[i]), ("cdf",))
+            assert one[0] == lone == whole[i]
 
     @staticmethod
     def _construction_share(build):
@@ -362,8 +375,7 @@ class TestKernelBand:
 
 
 class TestMonotoneCdf:
-    @pytest.mark.parametrize("fixture", ["canonical", "wide_gaussian", "slc", "mixture",
-                                         "oscillating"])
+    @pytest.mark.parametrize("fixture", FIXTURES)
     def test_nondecreasing_on_fine_grid(self, fixture, request):
         m = request.getfixturevalue(fixture)
         F = m.marginal_cdf(np.linspace(*m.window, 20000))
@@ -499,6 +511,30 @@ class TestUnimodalTailThreshold:
         assert self._threshold(y, d) is None
 
 
+class TestOneCdf:
+    """F_Y at a point is one double, whatever the shape of the call."""
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_lone_y_equals_the_array_call(self, fixture, request):
+        m = request.getfixturevalue(fixture)
+        ys = np.linspace(*m.window, 20001)[::13]
+        F = m.marginal_cdf(ys)
+        differ = [y for y, f in zip(ys.tolist(), F.tolist()) if m.marginal_cdf(y) != f]
+        assert differ == []
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_table_is_the_marginal_cdf_at_every_node(self, fixture, request):
+        m = request.getfixturevalue(fixture)
+        assert np.array_equal(m._Fy_grid, m.marginal_cdf(m.y_grid))
+        nodes = range(0, m.y_grid.size, 7)
+        assert [m.marginal_cdf(float(m.y_grid[k])) for k in nodes] == m._Fy_grid[nodes].tolist()
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_level_window_is_the_marginal_cdf_at_the_window_ends(self, fixture, request):
+        m = request.getfixturevalue(fixture)
+        assert m.level_window == tuple(map(m.marginal_cdf, m.window))
+
+
 class TestLevelWindow:
     @pytest.mark.parametrize("fixture", ["canonical", "wide_gaussian", "mixture", "oscillating"])
     def test_quantile_accepts_exactly_the_window(self, fixture, request):
@@ -516,8 +552,8 @@ class TestLevelWindow:
 
     @pytest.mark.parametrize("fixture", ["canonical", "wide_gaussian", "oscillating"])
     def test_quantile_at_table_levels(self, fixture, request):
-        # within a few ulps of a table level the direct CDF at the bracket
-        # end can fall on the wrong side of p by roundoff
+        # within a few ulps of a table level the bracket end's sign is
+        # decided by the last bit of F_Y, which the table and the solver share
         m = request.getfixturevalue(fixture)
         F, grid = m._Fy_grid, m.y_grid
         for k in range(1, F.size, 97):

@@ -88,8 +88,9 @@ class TestStronglyLogConcavePrior:
         assert only_origin.min_theta_second == math.inf
 
     def test_normalization_decay_guard(self):
-        # beta so large the mass cannot fit a halfwidth-8 window of its
-        # own scale is not constructible here; instead shrink the window
+        # the narrowest window a config allows, halfwidth 8, already holds
+        # the mass of a pure Gaussian, so no strongly log-concave prior
+        # can fail to decay at its window edge
         prior = StronglyLogConcavePrior(1.0, 0.0, 2.0)
         ok = normalization_constant(prior, QuadratureConfig(truncation_halfwidth=8.0))
         assert ok == pytest.approx(math.sqrt(2 * math.pi), rel=1e-10)
@@ -204,6 +205,28 @@ class TestGridPrior:
             prior.theta_second(0.5)
         with pytest.raises(DomainError, match="at least 3 points"):
             check_strong_log_concavity(prior, 1.0, np.array([0.5]))
+
+    @pytest.mark.parametrize(
+        "xs, logd, expected",
+        [
+            # h = 2 mean spacing is capped at half the window: the second
+            # difference spans the window about its midpoint, at every x
+            ((-3.0, 0.0, 3.0), (-2.0, 0.0, -2.0), [4.0 / 9.0] * 5),
+            # (t(4) - 2 t(2) + t(0)) / 2^2 with t = 0, 2.5, 3
+            ((0.0, 1.0, 2.0, 4.0), (0.0, -0.5, -2.5, -3.0), [-0.5] * 5),
+            # five points: h = 2 mean spacing = half the window, uncapped
+            ((-2.0, -1.0, 0.0, 1.0, 2.0), (-2.0, -0.5, 0.0, -0.5, -2.0), [1.0] * 5),
+            # seven points: h = 2 and the centre x clips to [-1, 1]
+            (tuple(np.linspace(-3.0, 3.0, 7)), tuple(-0.5 * np.linspace(-3.0, 3.0, 7) ** 2),
+             [1.0] * 5),
+        ],
+    )
+    def test_curvature_on_small_grids(self, xs, logd, expected):
+        prior = GridPrior(xs, logd)
+        qs = np.linspace(xs[0], xs[-1], 5)
+        np.testing.assert_allclose(prior.theta_second(qs), expected, rtol=1e-14)
+        report = check_strong_log_concavity(prior, 1.0, qs)
+        assert report.min_theta_second == pytest.approx(min(expected), rel=1e-14)
 
     @pytest.mark.parametrize(
         "xs, logd",
