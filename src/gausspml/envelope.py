@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import DomainError, check_count, check_probability
-from .leakage import FinitePartition, Interval, LeakageNats, interval_leakage, tail_thresholds
+from .leakage import FinitePartition, Interval, LeakageNats, interval_leakage
 from .mechanism import _bounded_numerator
 from .numerics import golden_section_max, refine_max
 from .priors import check_strong_log_concavity
@@ -132,44 +133,45 @@ def _backtrack(choice, k, j):
     return counts[::-1]  # outermost (tail) first
 
 
-def _side_value(m, masses, right):
-    """Min leakage over one side's slices, masses outermost first.
+def _cut_levels(kl, w):
+    """Ascending F_Y levels of the cuts of allocation w.
 
-    Quantiles come from the cached CDF table; exact values are
-    recomputed once at the end of the search.
+    w lists the left slices outermost to innermost, then the right
+    slices innermost to outermost. The cuts split the output line into
+    len(w) + 1 cells: cell kl is the core, and w[i] is the mass of cell
+    i, or of cell i + 1 once i >= kl.
     """
-    cum = np.cumsum(masses)
-    cuts = m._table_quantile(1.0 - cum if right else cum)
-    value = -math.log(max(masses[0], _MASS_FLOOR))
-    for i in range(1, len(masses)):
-        numer = _bounded_numerator(abs(cuts[i] - cuts[i - 1]), m.sigma_n)
-        if numer <= 0.0:
-            return -np.inf
-        value = min(value, math.log(numer) - math.log(max(masses[i], _MASS_FLOOR)))
-    return value
+    w = [float(v) for v in w]
+    right = [1.0 - c for c in accumulate(reversed(w[kl:]))]  # outermost first
+    return [*accumulate(w[:kl]), *right[::-1]]
 
 
 def _alloc_value(m, kl, w):
-    """Objective: min slice leakage for masses w (left block then right)."""
-    value = np.inf
-    if kl:
-        value = min(value, _side_value(m, w[:kl], right=False))
-    if len(w) > kl:
-        value = min(value, _side_value(m, w[kl:][::-1], right=True))
+    """Objective: min leakage over the bad cells of allocation w.
+
+    The bad cells are every cell but the core, in the order of w. Cuts
+    are table quantiles; _exact_partition redoes the winner exactly.
+    """
+    edges = [-math.inf, *m._table_quantile(_cut_levels(kl, w)).tolist(), math.inf]
+    value = math.inf
+    for i, mass in enumerate(w.tolist()):
+        cell = i + (i >= kl)  # cell kl is the core
+        length = edges[cell + 1] - edges[cell]
+        numer = 1.0 if length == math.inf else _bounded_numerator(abs(length), m.sigma_n)
+        if numer <= 0.0:
+            return -math.inf
+        value = min(value, math.log(numer) - math.log(max(mass, _MASS_FLOOR)))
     return value
 
 
 def _refine_allocation(m, kl, w, delta):
     """Coordinate ascent on cumulative cut masses, golden step per cut.
 
-    w lists left slices outermost-to-innermost, then right slices
-    innermost-to-outermost, so every internal boundary of the cumulative
-    sum is a meaningful cut (including the left/right split).
+    w is laid out as in _cut_levels, so every internal boundary of its
+    cumulative sum is a cut, the left/right split included.
     """
     w = np.asarray(w, dtype=float)
     n = w.size
-    if n == 1:
-        return w, _alloc_value(m, kl, w)
     f_lo, f_hi = m.level_window
     for _ in range(3):
         for b in range(1, n):
@@ -196,22 +198,23 @@ def _refine_allocation(m, kl, w, delta):
                 lambda s: _alloc_value(m, kl, split(s)), lo, hi, tol=1e-10 * max(1.0, delta)
             )
             w = split(s_star)
-    return w, _alloc_value(m, kl, w)
+    return w
 
 
-def _exact_partition(m, kl, w, delta):
-    """Polished quantile cuts, witness partition, exact min bad leakage."""
-    left = [m.marginal_quantile(c) for c in np.cumsum(w[:kl])]
-    right = [m.marginal_quantile(1.0 - c) for c in np.cumsum(w[kl:][::-1])]  # outermost first
-    cuts = [-math.inf] + left + right[::-1] + [math.inf]
-    n = len(cuts) - 1  # cells; cell kl is the core
+def _exact_partition(m, kl, w):
+    """Witness of allocation w, cut at exact quantiles, and its min bad leakage.
+
+    Cells are named from the tails inward: left_tail, left_1, ..., core
+    (cell kl), ..., right_1, right_tail.
+    """
+    cuts = [-math.inf, *(m.marginal_quantile(p) for p in _cut_levels(kl, w)), math.inf]
     cells, labels, bad_leaks = [], [], []
     for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
         cells.append(Interval(lo, hi))
         if i == kl:
             labels.append("core")
             continue
-        side, j = ("left", i) if i < kl else ("right", n - 1 - i)  # j counts from the tail
+        side, j = ("left", i) if i < kl else ("right", len(w) - i)  # j counts from the tail
         labels.append(f"{side}_{j}" if j else f"{side}_tail")
         bad_leaks.append(float(interval_leakage(m, cells[-1])))
     part = FinitePartition(tuple(cells), tuple(labels))
@@ -262,8 +265,8 @@ def envelope_bruteforce_lower_bound(m, delta, max_cells):
         left = _backtrack(choice_l, kl, jl) if kl else []
         right = _backtrack(choice_r, kr, _UNITS - jl) if kr else []
         w0 = np.array([u * unit for u in left + right[::-1]], dtype=float)
-        w, _ = _refine_allocation(m, kl, w0, delta)
-        value, part = _exact_partition(m, kl, w, delta)
+        w = _refine_allocation(m, kl, w0, delta)
+        value, part = _exact_partition(m, kl, w)
         # exact values within quantile roundoff tie (a left tail and its
         # mirror right tail on a symmetric marginal): keep the first in DP order
         if best is None or float(value) > float(best[0]) * (1.0 + _TIE_REL):
@@ -303,16 +306,6 @@ def delta0_estimate(m):
     return None
 
 
-def _two_tail_witness(m, delta):
-    t_l, t_r = tail_thresholds(m, delta / 2.0, delta / 2.0)
-    cells = (
-        Interval(-math.inf, t_l),
-        Interval(t_l, t_r),
-        Interval(t_r, math.inf),
-    )
-    return FinitePartition(cells, ("tail_left", "core", "tail_right"))
-
-
 def _closed_form_test(m):
     """Predicate on delta: does the closed form log(2/delta) apply on m?
 
@@ -345,7 +338,8 @@ def envelope_curve(m, deltas, max_cells=4):
     def point(delta):
         if closed(delta):
             value = LeakageNats(math.log(2.0 / delta))
-            return EnvelopePoint(delta, value, _REGIME_CLOSED, _two_tail_witness(m, delta))
+            _, witness = _exact_partition(m, 1, [delta / 2.0, delta / 2.0])
+            return EnvelopePoint(delta, value, _REGIME_CLOSED, witness)
         value, witness = envelope_bruteforce_lower_bound(m, delta, max_cells)
         return EnvelopePoint(delta, value, _REGIME_LOWER, witness)
 

@@ -388,6 +388,23 @@ class TestExitCodes:
         assert code == 2
         assert "deltas" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("envelope", "--deltas", "0:a:0.1"), "--deltas: non-numeric component in '0:a:0.1'"),
+            (("leakage", "--interval", "1,x"), "--interval: bad endpoint in '1,x'"),
+        ],
+    )
+    def test_bad_flag_value_is_two(self, capsys, argv, message):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_config_naming_a_directory_is_two(self, capsys, tmp_path):
+        code, out, err = _run(capsys, "envelope", "--config", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert f"cannot read config file {tmp_path}" in err
+
     def test_leakage_without_event_is_two(self, capsys):
         code, _, err = _run(capsys, "leakage")
         assert code == 2

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from gausspml import (
@@ -11,10 +12,12 @@ from gausspml import (
     Mechanism,
     interval_leakage,
     partition_delta_quantile,
+    tail_thresholds,
     validate_partition,
 )
 from gausspml import envelope as envelope_module
 from gausspml.envelope import (
+    _cut_levels,
     condition_report,
     delta0_estimate,
     envelope_bruteforce_lower_bound,
@@ -83,6 +86,17 @@ class TestEnvelopePoint:
         validate_partition(canonical, p.witness)
         replay = float(partition_delta_quantile(canonical, p.witness, 0.1))
         assert replay == pytest.approx(float(p.epsilon_d), abs=1e-9)
+
+    def test_closed_form_witness_uses_the_search_labels(self, canonical):
+        # both regimes name the mass-delta/2 tails the same way
+        p = envelope_point(canonical, 0.1)
+        _, searched = envelope_bruteforce_lower_bound(canonical, 0.1, 2)
+        assert p.regime == "ClosedForm"
+        assert p.witness.labels == searched.labels == ("left_tail", "core", "right_tail")
+        t_l, t_r = tail_thresholds(canonical, 0.05, 0.05)
+        assert [(c.lo, c.hi) for c in p.witness.cells] == [
+            (-math.inf, t_l), (t_l, t_r), (t_r, math.inf)
+        ]
 
     def test_delta_above_half_leaves_closed_form(self, canonical):
         p = envelope_point(canonical, 0.6)
@@ -184,6 +198,22 @@ class TestBruteforceLowerBound:
         monkeypatch.setattr(type(slc), "marginal_quantile",
                             lambda m, p: quantile(m, p) + shift)
         assert witnesses() == before
+
+    def test_no_tail_cut_inside_the_window_raises(self, oscillating):
+        # F_Y is 0.0072 at the left window edge: a left tail of mass 0.005
+        # does not fit, and the right edge rules out every right tail too
+        with pytest.raises(DomainError, match="leaves no tail cut inside the working window"):
+            envelope_bruteforce_lower_bound(oscillating, 0.005, 1)
+
+    @pytest.mark.parametrize("kl", [0, 1, 2, 3])
+    def test_cut_levels_lay_out_the_cells(self, kl):
+        # cell kl is the core; every other cell holds its mass of w in order
+        w = [0.01, 0.02, 0.03]
+        levels = _cut_levels(kl, w)
+        masses = np.diff(np.concatenate(([0.0], levels, [1.0])))
+        assert np.all(np.diff(levels) > 0.0)
+        assert masses[kl] == pytest.approx(1.0 - sum(w), abs=1e-15)
+        assert np.delete(masses, kl) == pytest.approx(w, abs=1e-15)
 
     def test_max_cells_domain(self, canonical):
         for bad in (0, 7, -1):

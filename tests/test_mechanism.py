@@ -425,6 +425,22 @@ class TestPosterior:
         assert np.all(slc.posterior_variance(ys) > 0.0)
         assert np.all(mixture.posterior_variance(ys) > 0.0)
 
+    def test_route_gap_raises(self, canonical, monkeypatch):
+        # a 0.1% error in the second posterior moment opens a gap of about
+        # 7.5e-4 at y = 1, far past the 1e-5 agreement the routes must keep
+        terms = type(canonical)._density_terms
+
+        def perturbed(self, ys, names):
+            out = list(terms(self, ys, names))
+            if "m2" in names:
+                out[names.index("m2")] = out[names.index("m2")] * 1.001
+            return out
+
+        monkeypatch.setattr(type(canonical), "_density_terms", perturbed)
+        with pytest.raises(NumericalError, match="routes disagree") as exc:
+            canonical.posterior_variance(1.0)
+        assert exc.value.operation == "posterior_variance"
+
     def test_mixture_variance_exceeds_components_near_valley(self, mixture):
         # at y=0 the posterior splits mass between both modes
         assert float(mixture.posterior_variance(0.0)) > 1.0
@@ -444,6 +460,12 @@ class TestInfoDensity:
         ys = np.linspace(-2.0, 2.0, 7)[None, :]
         out = canonical.info_density(xs, ys)
         assert out.shape == (5, 7)
+
+    def test_nonfinite_inputs_rejected(self, canonical):
+        with pytest.raises(DomainError, match="x and y must be finite"):
+            canonical.info_density(0.0, math.inf)
+        with pytest.raises(DomainError, match="y must be finite"):
+            canonical.marginal_cdf(math.nan)
 
     def test_peak_value_nonnegative(self, canonical, mixture):
         # at x = y the kernel attains its mode, which dominates any

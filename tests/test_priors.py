@@ -121,6 +121,16 @@ class TestGaussianMixturePrior:
         ) / 1.5
         np.testing.assert_allclose(prior.density(xs), expected, rtol=1e-13)
 
+    def test_log_pdf_closed_form(self):
+        prior = GaussianMixturePrior((0.3, 0.7), (-1.0, 2.0), (0.5, 1.5))
+        xs = np.linspace(-4.0, 6.0, 21)
+
+        def log_component(w, m, s):
+            return math.log(w / s) - 0.5 * math.log(2.0 * math.pi) - 0.5 * ((xs - m) / s) ** 2
+
+        expected = np.logaddexp(log_component(0.3, -1.0, 0.5), log_component(0.7, 2.0, 1.5))
+        np.testing.assert_allclose(prior.log_pdf(xs), expected, rtol=0, atol=1e-12)
+
     def test_normalization_is_one(self):
         prior = GaussianMixturePrior((0.5, 0.5), (-2.0, 2.0), (1.0, 1.0))
         assert normalization_constant(prior) == 1.0

@@ -11,6 +11,7 @@ import pytest
 from gausspml import (
     DomainError,
     Interval,
+    NumericalError,
     check_bathtub_optimality,
     check_brascamp_lieb_bound,
     check_concavity_identity,
@@ -19,6 +20,7 @@ from gausspml import (
     event_mass,
     run_suite,
 )
+from gausspml import verify as verify_mod
 from gausspml.verify import _SUITE, _suite_names, _union_sampler
 
 
@@ -100,6 +102,25 @@ class TestTailWorstBound:
             with pytest.raises(DomainError):
                 check_tail_worst_bound(canonical, bad, 5)
 
+    @pytest.mark.parametrize("shift", [-1e-12, 1e-12])
+    @pytest.mark.parametrize("fixture", ["canonical", "wide_gaussian"])
+    def test_tied_tails_ignore_quantile_roundoff(self, fixture, request, monkeypatch, shift):
+        # mirror tails miss log(1/delta) by roundoff alone; the last bits of
+        # the quantiles must not decide which one is reported
+        m = request.getfixturevalue(fixture)
+        quantile = type(m).marginal_quantile
+        monkeypatch.setattr(type(m), "marginal_quantile", lambda m, p: quantile(m, p) + shift)
+        r = check_tail_worst_bound(m, 0.1, 10, seed=3)
+        assert r.location == ("left_tail", m.marginal_quantile(0.1))
+
+    def test_union_above_the_bound_is_reported(self, canonical, monkeypatch):
+        bound = math.log(1.0 / 0.1)
+        monkeypatch.setattr(verify_mod, "set_leakage_oracle", lambda m, union: bound + 1e-3)
+        r = check_tail_worst_bound(canonical, 0.1, 3, seed=0)
+        assert r.location == ("union", 0)
+        assert not r.passed
+        assert r.worst_violation == pytest.approx(1e-3, rel=1e-9)
+
 
 class TestRandomUnion:
     def test_mass_within_tolerance(self, canonical):
@@ -124,6 +145,12 @@ class TestRandomUnion:
         rng = np.random.default_rng(2)
         with pytest.raises(DomainError):
             _union_sampler(canonical)(rng, 1.5)
+
+    def test_unreachable_target_gives_up(self, canonical):
+        # feasible, but no draw leaves 1e-12 of level room for the last end
+        lo, hi = canonical.level_window
+        with pytest.raises(NumericalError, match="in 200 attempts"):
+            _union_sampler(canonical)(np.random.default_rng(0), (hi - lo) * (1.0 - 1e-14))
 
 
 class TestBathtubOptimality:
@@ -227,8 +254,6 @@ class TestRunSuite:
         assert 0.0 < r.worst_violation <= r.tolerance == 1e-4
 
     def test_domain_error_inside_a_check_is_a_failure(self, canonical, monkeypatch):
-        import gausspml.verify as verify_mod
-
         def broken(*args, **kwargs):
             raise DomainError("planted domain error")
 
