@@ -168,9 +168,10 @@ def _refine_allocation(m, kl, w, delta):
     """Coordinate ascent on cumulative cut masses, golden step per cut.
 
     w is laid out as in _cut_levels, so every internal boundary of its
-    cumulative sum is a cut, the left/right split included.
+    cumulative sum is a cut, the left/right split included. The start w
+    is returned instead when it scores higher than the polish.
     """
-    w = np.asarray(w, dtype=float)
+    w = start = np.asarray(w, dtype=float)
     n = w.size
     f_lo, f_hi = m.level_window
     for _ in range(3):
@@ -198,7 +199,7 @@ def _refine_allocation(m, kl, w, delta):
                 lambda s: _alloc_value(m, kl, split(s)), lo, hi, tol=1e-10 * max(1.0, delta)
             )
             w = split(s_star)
-    return w
+    return start if _alloc_value(m, kl, start) > _alloc_value(m, kl, w) else w
 
 
 def _exact_partition(m, kl, w):

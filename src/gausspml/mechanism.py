@@ -32,6 +32,9 @@ _TILE = 64  # nodes per pairwise partial sum of F_Y (see _kernel_reduce)
 # largest |raw node sum - 1| of the prior (see _node_weights); a kinked
 # strongly log-concave prior such as SLC(1, 1, 1.1) misses by 5e-7
 _MASS_TOL = 1e-6
+# probe gap of a rule from its doubled rule that is roundoff (see Mechanism):
+# smooth priors stay below 1.5e-15, kinked ones exceed 6.5e-15 at 2048 panels
+_ROUNDOFF = 16 * np.finfo(float).eps
 
 # Past these standardized distances z = (y - x)/sigma_n a kernel entry is an
 # exact double constant, so _kernel_reduce never evaluates it: ndtr(z) == 1.0
@@ -196,12 +199,14 @@ class Mechanism:
     define the working window for quantiles and window-wide scans.
 
     The prior must be one of the four families in priors.py (anything
-    else raises DomainError). Its Simpson rule takes cfg.panel_count
-    panels, or more when that leaves nodes farther apart than
-    sigma_n / 4; a noise scale that would need more than 2**16 panels
-    raises NumericalError. The prior's weights on the nodes are
-    normalized to sum to 1, so the prior is integrated by this one rule;
-    a raw sum farther than 1e-6 from 1 raises NumericalError.
+    else raises DomainError). top = max(cfg.panel_count, the panels that
+    put nodes sigma_n / 4 apart); past 2**16, NumericalError is raised.
+    The Simpson rule is the coarsest of top / 2^k panels, nodes no farther
+    apart than sigma_n / 4, whose doubled rule gives the same f_Y and F_Y
+    at 9 probe points up to roundoff; else top, whose doubled rule must
+    move f_Y by at most 10 cfg.abs_tol. The prior's weights on the nodes
+    are normalized to sum to 1; a raw sum farther than 1e-6 from 1 passes
+    a rule below top over, and raises NumericalError at top or above.
     """
 
     prior: object
@@ -223,17 +228,6 @@ class Mechanism:
                 f"more than the {_MAX_PANELS} allowed",
                 operation="mechanism construction",
             )
-        panels = max(self.cfg.panel_count, floor)
-        xs, wts = _simpson_nodes(x_lo, x_hi, panels)
-        wfx = _node_weights(wts, self.prior.density(xs), panels)
-        object.__setattr__(self, "_xs", xs)
-        object.__setattr__(self, "_wfx", wfx)
-        object.__setattr__(self, "_nodes", _tiled(xs, wfx))
-
-        mean_x = float(wfx @ xs)
-        var_x = float(wfx @ (xs - mean_x) ** 2)
-        object.__setattr__(self, "_x_mean", mean_x)
-        object.__setattr__(self, "_sigma_y", math.sqrt(var_x + sn * sn))
 
         if self.y_grid is None:
             pad = self.cfg.truncation_halfwidth * sn
@@ -246,26 +240,55 @@ class Mechanism:
                 raise DomainError("y_grid must be finite and strictly increasing")
         object.__setattr__(self, "y_grid", grid)
 
+        # rules at top / 2^k panels, smallest first and none below the floor
+        top = max(self.cfg.panel_count, floor)
+        probe = np.linspace(grid[0], grid[-1], 9)
+
+        def probed(p):  # nodes and weights, and (f_Y, F_Y) at the probe points
+            xs, wts = _simpson_nodes(x_lo, x_hi, p)
+            try:
+                wfx = _node_weights(wts, self.prior.density(xs), p)
+            except NumericalError:
+                if p >= top:
+                    raise
+                return None  # below top, a rule failing the node-mass guard
+            return xs, wfx, np.array(_kernel_reduce(probe, *_tiled(xs, wfx), sn, ("f", "cdf")))
+
+        panels = top
+        while panels % 4 == 0 and panels // 2 >= floor:
+            panels //= 2
+        rule = probed(panels)
+        while panels < top:
+            double = probed(2 * panels)
+            if rule and double:  # f_Y relative to its peak and F_Y agree to roundoff
+                gap = np.abs(rule[2] - double[2]).max(axis=1)
+                if gap[0] <= _ROUNDOFF * double[2][0].max() and gap[1] <= _ROUNDOFF:
+                    break
+            rule, panels = double, 2 * panels
+        else:  # the finest rule: its doubled rule must agree to 10 abs_tol
+            err = float(np.abs(rule[2][0] - probed(2 * top)[2][0]).max())
+            if not err <= 10.0 * self.cfg.abs_tol:  # NaN fails too
+                raise NumericalError(
+                    f"marginal density unconverged at panel_count={top} "
+                    f"(refinement moves it by {err:.3g})",
+                    operation="mechanism construction",
+                    last_estimate=err,
+                )
+        xs, wfx, _ = rule
+        object.__setattr__(self, "_xs", xs)
+        object.__setattr__(self, "_wfx", wfx)
+        object.__setattr__(self, "_nodes", _tiled(xs, wfx))
+
+        mean_x = float(wfx @ xs)
+        var_x = float(wfx @ (xs - mean_x) ** 2)
+        object.__setattr__(self, "_x_mean", mean_x)
+        object.__setattr__(self, "_sigma_y", math.sqrt(var_x + sn * sn))
+
         fy, dfy, Fy = self._reduce(grid, ("f", "df", "cdf"))
         object.__setattr__(self, "_fy_grid", fy)
         object.__setattr__(self, "_dfy_grid", dfy)
         Fy = np.maximum.accumulate(np.clip(Fy, 0.0, 1.0))
         object.__setattr__(self, "_Fy_grid", Fy)
-
-        # resolution probe: the marginal from a rule twice as fine must agree
-        xs2, wts2 = _simpson_nodes(x_lo, x_hi, 2 * panels)
-        wfx2 = _node_weights(wts2, self.prior.density(xs2), 2 * panels)
-        probe = np.linspace(grid[0], grid[-1], 9)
-        (f2,) = _kernel_reduce(probe, *_tiled(xs2, wfx2), sn, ("f",))
-        (f1,) = self._reduce(probe, ("f",))
-        err = float(np.max(np.abs(f1 - f2)))
-        if not err <= 10.0 * self.cfg.abs_tol:  # NaN fails too
-            raise NumericalError(
-                f"marginal density unconverged at panel_count={panels} "
-                f"(refinement moves it by {err:.3g})",
-                operation="mechanism construction",
-                last_estimate=err,
-            )
 
     # -- window geometry -------------------------------------------------
 

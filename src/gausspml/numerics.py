@@ -36,7 +36,8 @@ class QuadratureConfig:
     truncation_halfwidth is in standardized units: priors and mechanisms
     scale it by their own spread to get a finite window. With the
     default 10, the discarded Gaussian mass is ~1.5e-23, far below every
-    tolerance in the package.
+    tolerance in the package. panel_count is where integrate() starts and
+    the finest Simpson rule a Mechanism tries (see Mechanism).
     """
 
     truncation_halfwidth: float = 10.0

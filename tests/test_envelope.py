@@ -205,6 +205,25 @@ class TestBruteforceLowerBound:
         with pytest.raises(DomainError, match="leaves no tail cut inside the working window"):
             envelope_bruteforce_lower_bound(oscillating, 0.005, 1)
 
+    def test_refinement_never_scores_below_its_start(self, monkeypatch):
+        # on this search the golden-section polish of two DP starts lands
+        # lower on the table objective than the start itself; the start is kept
+        refine = envelope_module._refine_allocation
+        scores = []
+
+        def spy(m, kl, w, delta):
+            out = refine(m, kl, w, delta)
+            start = np.asarray(w, dtype=float)
+            scores.append((envelope_module._alloc_value(m, kl, start),
+                           envelope_module._alloc_value(m, kl, out)))
+            return out
+
+        monkeypatch.setattr(envelope_module, "_refine_allocation", spy)
+        value, _ = envelope_bruteforce_lower_bound(Mechanism(GaussianPrior(4.0), 1.0), 0.2, 6)
+        assert len(scores) == 3
+        assert all(after >= before for before, after in scores)
+        assert float(value) > 2.4147895
+
     @pytest.mark.parametrize("kl", [0, 1, 2, 3])
     def test_cut_levels_lay_out_the_cells(self, kl):
         # cell kl is the core; every other cell holds its mass of w in order

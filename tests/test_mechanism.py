@@ -170,6 +170,184 @@ class TestConstruction:
         assert mixture.sigma_y == pytest.approx(math.sqrt(6.0), rel=1e-9)
 
 
+def _simpson_weights(m, panels):
+    """Today's fixed rule: prior weights on _simpson_nodes at panels, normalized."""
+    xs, w = mechanism._simpson_nodes(*m.x_window, panels)
+    wfx = w * m.prior.density(xs)
+    return xs, wfx / float(wfx.sum())
+
+
+class TestSizedRule:
+    """Each mechanism takes the coarsest Simpson rule its doubled rule confirms."""
+
+    @pytest.mark.parametrize("fixture, nodes", [
+        ("canonical", 129), ("mixture", 129), ("wide_gaussian", 257), ("slc", 257),
+        ("oscillating", 16385),
+    ])
+    def test_node_count(self, fixture, nodes, request):
+        assert request.getfixturevalue(fixture)._xs.size == nodes
+
+    @pytest.mark.parametrize("build, panels", [
+        (lambda: Mechanism(StronglyLogConcavePrior(0.8, 0.5, 3.0), 1.0), 2048),
+        (lambda: Mechanism(StronglyLogConcavePrior(1.5, 2.0, 2.5), 1.0), 2048),
+        (lambda: Mechanism(GaussianPrior(1.0), 0.01), 8000),
+    ], ids=["slc-p3", "slc-p2.5", "high-snr"])
+    def test_unresolved_priors_keep_the_fixed_rule(self, build, panels):
+        # kinks converge algebraically, so no coarser rule agrees to roundoff;
+        # sigma_n / 4 leaves no coarser rule at high SNR
+        m = build()
+        xs, wfx = _simpson_weights(m, panels)
+        assert np.array_equal(m._xs, xs) and np.array_equal(m._wfx, wfx)
+
+    def test_oscillating_keeps_the_fixed_rule(self, oscillating):
+        xs, wfx = _simpson_weights(oscillating, 16384)
+        assert np.array_equal(oscillating._xs, xs) and np.array_equal(oscillating._wfx, wfx)
+
+    def test_canonical_construction_budget(self):
+        # 2049 nodes took 8.45 M exp and 6.11 M ndtr entries
+        before = dict(mechanism._EVALS)
+        Mechanism(GaussianPrior(1.0), 1.0)
+        assert mechanism._EVALS["exp"] - before["exp"] <= 600_000
+        assert mechanism._EVALS["ndtr"] - before["ndtr"] <= 450_000
+
+    @pytest.mark.parametrize("sigma", [1e-4, 0.02, 0.05, 0.1])
+    @pytest.mark.parametrize("mean", [0.0, 0.3, 20.0 / 4096])
+    def test_narrow_component_is_resolved_or_refused(self, sigma, mean):
+        # a component that sits on, or between, the nodes of the coarse rules:
+        # a coarser rule than 2048 panels must give the closed-form marginal
+        weights, means, sigmas = (0.5, 0.5), (0.0, mean), (1.0, sigma)
+        prior = GaussianMixturePrior(weights, means, sigmas)
+        try:
+            m = Mechanism(prior, 1.0)
+        except NumericalError as err:
+            assert "at panel_count=2048" in str(err)
+            return
+        if m._xs.size == 2049:
+            xs, wfx = _simpson_weights(m, 2048)
+            assert np.array_equal(m._xs, xs) and np.array_equal(m._wfx, wfx)
+            return
+        ys = np.linspace(-12.0, 12.0, 97)
+        f = _mixture_marginal(weights, means, sigmas, 1.0, ys)
+        F = sum(w * ndtr((ys - mu) / math.hypot(s, 1.0))
+                for w, mu, s in zip(weights, means, sigmas))
+        np.testing.assert_allclose(m.marginal_density(ys), f, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(m.marginal_cdf(ys), F, rtol=0, atol=1e-14)
+
+
+def _mixture_route(weights, means, sigmas, sigma_n, window):
+    """mpmath closed forms for a Gaussian mixture prior, independent of the rule.
+
+    Returns f_Y, F_Y and the posterior (mean, variance) on the whole line,
+    and f_Y, F_Y of the prior cut to window and renormalized, the model
+    the rule integrates; F_Y of the cut model takes mpmath.quad over the
+    two half-lines outside the window.
+    """
+    mp = mpmath
+    a, b, sn = mp.mpf(window[0]), mp.mpf(window[1]), mp.mpf(sigma_n)
+    comps = []
+    for w, mu, s in zip(weights, means, sigmas):
+        w, mu, s = mp.mpf(w), mp.mpf(mu), mp.mpf(s)
+        t = mp.sqrt(s * s + sn * sn)
+        comps.append((w, mu, s, t, s * sn / t))
+    kept = mp.fsum(w * (mp.ncdf(b, mu, s) - mp.ncdf(a, mu, s)) for w, mu, s, _, _ in comps)
+
+    def terms(y):  # weight, kernel-marginal density and posterior of each component
+        y = mp.mpf(y)
+        for w, mu, s, t, v in comps:
+            yield w, mp.npdf(y, mu, t), mu + (s / t) ** 2 * (y - mu), v
+
+    def f(y):
+        return mp.fsum(w * g for w, g, _, _ in terms(y))
+
+    def f_cut(y):
+        return mp.fsum(w * g * (mp.ncdf(b, c, v) - mp.ncdf(a, c, v))
+                       for w, g, c, v in terms(y)) / kept
+
+    def F(y):
+        return mp.fsum(w * mp.ncdf(y, mu, t) for w, mu, s, t, _ in comps)
+
+    def F_cut(y):
+        y = mp.mpf(y)
+        out = mp.fsum(w * mp.quad(lambda x: mp.npdf(x, mu, s) * mp.ncdf(y - x, 0, sn), bp)
+                      for w, mu, s, _, _ in comps
+                      for bp in ([-mp.inf, a - 8, a - 2, a], [b, b + 2, b + 8, mp.inf]))
+        return (F(y) - out) / kept
+
+    def moments(y):
+        parts = [(w * g, c, v) for w, g, c, v in terms(y)]
+        z = mp.fsum(p for p, _, _ in parts)
+        mean = mp.fsum(p * c for p, c, _ in parts) / z
+        return mean, mp.fsum(p * (v * v + c * c) for p, c, v in parts) / z - mean**2
+
+    return f, F, moments, f_cut, F_cut
+
+
+def _slc_route(beta, c, p, sigma_n):
+    """mpmath.quad for a strongly log-concave prior, broken at its kink at 0."""
+    mp = mpmath
+    bp = [-6, -2, -1, 0, 1, 2, 6]
+
+    def integral(g):
+        return mp.quad(lambda x: g(x) * mp.exp(-x * x / (2 * beta**2) - c * abs(x) ** p / p), bp)
+
+    z = integral(lambda x: 1)
+
+    def f(y):
+        return integral(lambda x: mp.npdf(y, x, sigma_n)) / z
+
+    def F(y):
+        return integral(lambda x: mp.ncdf(y, x, sigma_n)) / z
+
+    def moments(y):
+        m0 = integral(lambda x: mp.npdf(y, x, sigma_n))
+        m1 = integral(lambda x: x * mp.npdf(y, x, sigma_n)) / m0
+        return m1, integral(lambda x: x * x * mp.npdf(y, x, sigma_n)) / m0 - m1 * m1
+
+    return f, F, moments
+
+
+_ROUTES = {
+    "canonical": lambda m: _mixture_route((1,), (0,), (1,), 1, m.x_window),
+    "wide_gaussian": lambda m: _mixture_route((1,), (0,), (2,), 1, m.x_window),
+    "mixture": lambda m: _mixture_route((0.5, 0.5), (-2, 2), (1, 1), 1, m.x_window),
+    "slc": lambda m: _slc_route(1, 1, 4, 1),
+}
+
+
+class TestIndependentRoute:
+    """The sized rule against mpmath, on the four smooth fixtures."""
+
+    @pytest.mark.parametrize("fixture", list(_ROUTES))
+    def test_left_tail_relative(self, fixture, request):
+        # The window cuts the prior, so deep in the tail the mechanism
+        # tracks the cut model, not the whole line: the rule must match the
+        # cut model to 1e-12 relative, or to a tenth of what the cut drops
+        # where that is larger (the mixture past -5 sigma_y). Right-tail
+        # F_Y is not compared: 1 - F_Y cancels.
+        m = request.getfixturevalue(fixture)
+        route = _ROUTES[fixture](m)
+        f, F = route[:2]
+        f_cut, F_cut = route[3:] if len(route) == 5 else (f, F)
+        ys = -m.sigma_y * np.arange(9.0)
+        with mpmath.workdps(20):
+            for y in ys.tolist():
+                for got, whole, cut in ((m.marginal_density(y), f(y), f_cut(y)),
+                                        (m.marginal_cdf(y), F(y), F_cut(y))):
+                    tol = max(1e-12 * whole, 0.1 * abs(cut - whole))
+                    assert abs(got - cut) <= tol, (y, got, float(cut), float(whole))
+
+    @pytest.mark.parametrize("fixture", list(_ROUTES))
+    def test_posterior_moments(self, fixture, request):
+        m = request.getfixturevalue(fixture)
+        moments = _ROUTES[fixture](m)[2]
+        ys = np.linspace(-6.0, 6.0, 9)
+        with mpmath.workdps(20):
+            want = [tuple(map(float, moments(y))) for y in ys.tolist()]
+        np.testing.assert_allclose(m.posterior_mean(ys), [w[0] for w in want], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m.posterior_variance(ys), [w[1] for w in want],
+                                   rtol=0, atol=1e-12)
+
+
 class TestMarginal:
     def test_gaussian_density_closed_form(self, canonical):
         ys = np.linspace(-7.0, 7.0, 57)
@@ -345,32 +523,43 @@ class TestKernelBand:
             assert one[0] == lone == whole[i]
 
     @staticmethod
-    def _construction_share(build):
+    def _construction_share(build, monkeypatch):
         """Kernel entries evaluated by one construction, as shares of the full
-        rows x nodes count: exp over the table and the resolution probe, ndtr
-        over the table."""
+        rows x nodes count: exp and ndtr over the table and over the 9 probe
+        points of every Simpson rule the construction built."""
+        sizes = []
+        simpson = mechanism._simpson_nodes
+
+        def counted(lo, hi, panels):
+            xs, w = simpson(lo, hi, panels)
+            sizes.append(xs.size)
+            return xs, w
+
+        monkeypatch.setattr(mechanism, "_simpson_nodes", counted)
         before = dict(mechanism._EVALS)
         m = build()
-        n, rows = m._xs.size, m.y_grid.size
-        exp_full = (rows + 9) * n + 9 * (2 * n - 1)
-        return ((mechanism._EVALS["exp"] - before["exp"]) / exp_full,
-                (mechanism._EVALS["ndtr"] - before["ndtr"]) / (rows * n))
+        full = m.y_grid.size * m._xs.size + 9 * sum(sizes)
+        return ((mechanism._EVALS["exp"] - before["exp"]) / full,
+                (mechanism._EVALS["ndtr"] - before["ndtr"]) / full)
 
-    def test_band_share_oscillating(self):
+    def test_band_share_oscillating(self, monkeypatch):
         xs = np.linspace(-6.0, 6.0, 2001)
         prior = GridPrior(tuple(xs), tuple(-0.1 * xs**2 + 2.0 * np.sin(4.0 * xs)))
         cfg = QuadratureConfig(truncation_halfwidth=10.0, panel_count=16384, abs_tol=1e-8)
         exp_share, ndtr_share = self._construction_share(
-            lambda: Mechanism(prior, 0.05, cfg, y_grid=np.linspace(-5.0, 5.0, 4096)))
+            lambda: Mechanism(prior, 0.05, cfg, y_grid=np.linspace(-5.0, 5.0, 4096)),
+            monkeypatch)
         assert exp_share <= 0.40
         assert ndtr_share <= 0.25
 
-    def test_band_share_canonical(self):
-        _, ndtr_share = self._construction_share(lambda: Mechanism(GaussianPrior(1.0), 1.0))
+    def test_band_share_canonical(self, monkeypatch):
+        _, ndtr_share = self._construction_share(
+            lambda: Mechanism(GaussianPrior(1.0), 1.0), monkeypatch)
         assert ndtr_share <= 0.75
 
-    def test_band_share_high_snr(self):
-        exp_share, _ = self._construction_share(lambda: Mechanism(GaussianPrior(1.0), 0.01))
+    def test_band_share_high_snr(self, monkeypatch):
+        exp_share, _ = self._construction_share(
+            lambda: Mechanism(GaussianPrior(1.0), 0.01), monkeypatch)
         assert exp_share <= 0.10
 
 
