@@ -21,7 +21,7 @@ from .errors import (
     decode_endpoint,
     encode_endpoint,
 )
-from .mechanism import _bounded_numerator, _kernel_prob
+from .mechanism import _bounded_numerator, _phi_diff
 from .numerics import refine_max
 
 _ORACLE_MIN_POINTS = 4096
@@ -132,9 +132,16 @@ def event_mass(m, intervals):
     return sum(m._mass(iv) for iv in intervals)
 
 
-def _conditional_union_prob(m, union, x):
-    """P(Y in union | X=x) for an array of x."""
-    return sum(_kernel_prob(iv, x, m.sigma_n) for iv in union)
+def _union_prob(lo, hi, x, sigma_n):
+    """P(Y in union | X=x) for bounded cells (lo[j], hi[j]), with x broadcast.
+
+    The cells' probabilities are summed left to right; a cell with
+    lo == hi adds exactly 0.
+    """
+    total = 0.0
+    for a, b in zip(lo, hi):
+        total = total + np.maximum(_phi_diff((a - x) / sigma_n, (b - x) / sigma_n), 0.0)
+    return total
 
 
 # -- leakage of events --------------------------------------------------
@@ -173,6 +180,56 @@ def set_leakage_oracle(m, union):
     a tail have supremum 1 exactly (the secret can run away), handled
     symbolically.
     """
+    return _union_leakages(m, [union])[0]
+
+
+def _union_leakages(m, unions):
+    """set_leakage_oracle of each union in a list, the same doubles.
+
+    Each bounded union is scanned on its own grid over its hull (the
+    conditional probability rises left of its supremum and falls right
+    of it); then one lockstep refine_max polishes every scan maximum,
+    scoring all unions' cells from one table of ends, zero-padded to
+    the widest union.
+    """
+    unions = [_disjoint_union(union) for union in unions]
+    masses = [event_mass(m, union) for union in unions]
+    if not all(mass > 0.0 for mass in masses):
+        raise DomainError("union carries no output mass")
+    # a union touching a tail has supremum 1: the secret can run away
+    leaks = [
+        LeakageNats(-math.log(mass)) if any(iv.has_tail for iv in union) else None
+        for union, mass in zip(unions, masses)
+    ]
+    bounded = [i for i, leak in enumerate(leaks) if leak is None]
+    if not bounded:
+        return leaks
+    ends = np.zeros((2, max(len(unions[i]) for i in bounded), len(bounded)))
+    grids, scans = [], []
+    for col, i in enumerate(bounded):
+        lo, hi = cells = np.array([(iv.lo, iv.hi) for iv in unions[i]]).T
+        ends[:, : len(lo), col] = cells
+        span = max(hi[-1] - lo[0], m.sigma_n)
+        n = max(_ORACLE_MIN_POINTS, int(math.ceil(span / (m.sigma_n * _ORACLE_SPACING))) + 1)
+        grid = np.linspace(lo[0], hi[-1], n)
+        scan = _union_prob(lo, hi, grid, m.sigma_n)
+        # refine_max reads only the scan argmax and its neighbours; copies
+        # of those let each grid go before the next union's is made
+        k = int(np.argmax(scan))
+        near = slice(max(k - 1, 0), k + 2)
+        grids.append(grid[near].copy())
+        scans.append(scan[near].copy())
+    polished = refine_max(
+        lambda x, rows: _union_prob(ends[0][:, rows], ends[1][:, rows], x, m.sigma_n),
+        grids, scans, 1e-12,
+    )
+    for i, (_, q_max) in zip(bounded, polished):
+        leaks[i] = LeakageNats(math.log(q_max) - math.log(masses[i]))
+    return leaks
+
+
+def _disjoint_union(union):
+    """The union's intervals, sorted; DomainError when empty or overlapping."""
     union = [iv if isinstance(iv, Interval) else Interval(*iv) for iv in union]
     if not union:
         raise DomainError("union must contain at least one interval")
@@ -180,25 +237,7 @@ def set_leakage_oracle(m, union):
     for left, right in zip(ordered, ordered[1:]):
         if right.lo < left.hi:
             raise DomainError("union intervals must be disjoint")
-    mass = event_mass(m, ordered)
-    if mass <= 0.0:
-        raise DomainError("union carries no output mass")
-
-    if any(iv.has_tail for iv in ordered):
-        return LeakageNats(-math.log(mass))
-
-    # supremum lives inside the hull: the conditional probability is
-    # increasing left of it and decreasing right of it
-    lo = min(iv.lo for iv in ordered)
-    hi = max(iv.hi for iv in ordered)
-    span = max(hi - lo, m.sigma_n)
-    n = max(_ORACLE_MIN_POINTS, int(math.ceil(span / (m.sigma_n * _ORACLE_SPACING))) + 1)
-    grid = np.linspace(lo, hi, n)
-    _, q_max = refine_max(
-        lambda t: float(_conditional_union_prob(m, ordered, np.asarray(t))),
-        grid, _conditional_union_prob(m, ordered, grid), 1e-12,
-    )
-    return LeakageNats(math.log(q_max) - math.log(mass))
+    return ordered
 
 
 # -- finite post-processings --------------------------------------------
@@ -240,10 +279,11 @@ def partition_delta_quantile(m, part, delta):
     """
     delta = check_probability(delta, "delta")
     validate_partition(m, part)
-    outcomes = []
-    for label, cells in part.outcome_unions():
-        leak = set_leakage_oracle(m, cells)
-        outcomes.append((float(leak), event_mass(m, cells), label))
+    unions = part.outcome_unions()
+    leaks = _union_leakages(m, [cells for _, cells in unions])
+    outcomes = [
+        (float(leak), event_mass(m, cells), label) for leak, (label, cells) in zip(leaks, unions)
+    ]
     outcomes.sort(key=lambda t: (-t[0], t[2]))
     acc = 0.0
     for leak, mass, _ in outcomes:

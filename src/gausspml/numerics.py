@@ -7,8 +7,11 @@ its one root finder (safeguarded Newton with a bisection fallback,
 written here so that no scipy.optimize import is paid), and its one
 maximizer: refine_max scans a grid, brackets the scan argmax by its two
 neighbours and polishes it by golden section, keeping the scan value
-when the polish lands lower. All logarithms in this package are natural
-logs; leakage values are nats.
+when the polish lands lower. Both golden_section_max and refine_max
+also take many brackets or scans at once and step them in lockstep:
+one batched call of f per step scores the next point of every bracket
+still open, and each bracket gets the same doubles as alone. All
+logarithms in this package are natural logs; leakage values are nats.
 """
 
 from __future__ import annotations
@@ -155,30 +158,73 @@ def find_root_increasing(g, lo, hi, tol, x0):
     return mid
 
 
-def golden_section_max(f, lo, hi, tol=1e-10):
-    """Maximize a unimodal scalar f on [lo, hi]; returns (argmax, max)."""
-    lo = check_number(lo, "lo")
-    hi = check_number(hi, "hi")
-    if lo > hi:
-        raise PreconditionError("requires lo <= hi")
+def _golden_steps(lo, hi, tol):
+    """The golden-section loop on [lo, hi], stopping at width tol.
+
+    A generator: it yields each point to score, is sent that point's
+    value, and returns (argmax, max) through StopIteration.
+    """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc, fd = float(f(c)), float(f(d))
+    fc = yield c
+    fd = yield d
     for _ in range(_GOLDEN_MAX_ITER):
         if b - a <= tol:
             break
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
-            fc = float(f(c))
+            fc = yield c
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
-            fd = float(f(d))
+            fd = yield d
     xs = 0.5 * (a + b)
-    return xs, float(f(xs))
+    return xs, (yield xs)
+
+
+def golden_section_max(f, lo, hi, tol=1e-10):
+    """Maximize a unimodal scalar f on [lo, hi]; returns (argmax, max).
+
+    lo and hi may instead be equal-length 1-D arrays of brackets (tol a
+    scalar or an array of the same length). They are polished in
+    lockstep: f(x, rows) scores the points x of the brackets rows (two
+    1-D arrays), one point for every bracket not yet finished, and the
+    result is a list of (argmax, max) pairs. Each bracket takes the same
+    steps and doubles as a call with that bracket alone, which calls
+    f(x) on one float at a time.
+    """
+    batch = np.ndim(lo) > 0
+    brackets = zip(lo, hi, np.broadcast_to(tol, len(lo)), strict=True) if batch else [(lo, hi, tol)]
+    steps = []
+    for a, b, t in brackets:
+        a, b = check_number(a, "lo"), check_number(b, "hi")
+        if a > b:
+            raise PreconditionError("requires lo <= hi")
+        steps.append(_golden_steps(a, b, float(t)))
+    if not batch:  # scalar callers (the envelope search) skip the batch bookkeeping
+        (step,) = steps
+        x = next(step)
+        while True:
+            v = float(f(x))
+            try:
+                x = step.send(v)
+            except StopIteration as done:
+                return done.value
+    out = [None] * len(steps)
+    live, xs = list(range(len(steps))), [next(g) for g in steps]
+    while live:
+        vals = np.asarray(f(np.array(xs), np.array(live)), dtype=float).tolist()
+        rows, live, xs = live, [], []
+        for i, v in zip(rows, vals):
+            try:
+                xs.append(steps[i].send(v))
+                live.append(i)
+            except StopIteration as done:
+                out[i] = done.value
+    return out
 
 
 def refine_max(f, grid, values, rel_tol):
@@ -188,11 +234,24 @@ def refine_max(f, grid, values, rel_tol):
     section polishes f on [grid[k-1], grid[k+1]] around the scan argmax
     k, to rel_tol * max(1, |bracket ends|); the scan point (grid[k],
     values[k]) is returned instead when its value is larger.
+
+    grid and values may instead be equal-length sequences of scans (1-D
+    arrays, lengths free). Their polishes run in lockstep, f takes
+    (x, rows) as in golden_section_max, and the result is a list of
+    (argmax, max) pairs, the same as one call per scan.
     """
-    k = int(np.argmax(values))
-    a = float(grid[max(k - 1, 0)])
-    b = float(grid[min(k + 1, len(grid) - 1)])
-    x, fx = golden_section_max(f, a, b, tol=rel_tol * max(1.0, abs(a), abs(b)))
-    if float(values[k]) > fx:
-        return float(grid[k]), float(values[k])
-    return x, fx
+    batch = np.ndim(values[0]) > 0
+    scans = list(zip(grid, values, strict=True)) if batch else [(grid, values)]
+    best, a, b = [], [], []
+    for g, v in scans:
+        k = int(np.argmax(v))
+        best.append((float(g[k]), float(v[k])))
+        a.append(float(g[max(k - 1, 0)]))
+        b.append(float(g[min(k + 1, len(g) - 1)]))
+    tol = [rel_tol * max(1.0, abs(x), abs(y)) for x, y in zip(a, b)]
+    if batch:
+        polished = golden_section_max(f, a, b, tol)
+    else:
+        polished = [golden_section_max(f, a[0], b[0], tol[0])]
+    out = [kv if kv[1] > fx[1] else fx for kv, fx in zip(best, polished)]
+    return out if batch else out[0]

@@ -23,8 +23,9 @@ from gausspml import (
     validate_partition,
     worst_interval_search,
 )
-from gausspml.leakage import _mass_end
+from gausspml.leakage import _mass_end, _union_leakages
 from gausspml.mechanism import _kernel_prob, _phi_diff
+from gausspml.verify import _union_sampler
 from oracles import trapz_interval_mass
 
 INF = math.inf
@@ -204,6 +205,17 @@ class TestSetLeakageOracle:
     def test_union_without_mass_rejected(self, canonical):
         with pytest.raises(DomainError, match="no output mass"):
             set_leakage_oracle(canonical, [(200.0, 201.0), (300.0, 301.0)])
+
+    @pytest.mark.parametrize("fixture", ["canonical", "slc", "mixture"])
+    def test_batch_equals_one_union_at_a_time(self, fixture, request):
+        # the lockstep polish scores every union with the same doubles as
+        # its own call; random unions have 1 to 4 cells, tails included
+        m = request.getfixturevalue(fixture)
+        draw = _union_sampler(m)
+        rng = np.random.default_rng(3)
+        unions = [draw(rng, 0.1) for _ in range(100)]
+        batch = [float(v) for v in _union_leakages(m, unions)]
+        assert batch == [float(set_leakage_oracle(m, u)) for u in unions]
 
 
 class TestFinitePartition:

@@ -127,6 +127,62 @@ class TestRootAndSearch:
         arg, _ = golden_section_max(lambda x: -abs(x - c) ** 1.5, -3.0, 3.0)
         assert arg == pytest.approx(c, abs=1e-7)
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-5.0, 5.0),  # lo
+                st.floats(0.0, 10.0),  # width
+                st.floats(0.0, 1.0),  # peak position, as a share of the width
+                st.booleans(),  # kinked or smooth peak
+            ),
+            min_size=1,
+            max_size=50,
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_lockstep_matches_one_bracket_calls(self, brackets, scalar_tol):
+        lo = np.array([b[0] for b in brackets])
+        hi = lo + np.array([b[1] for b in brackets])
+        peak = lo + np.array([b[1] * b[2] for b in brackets])
+        kinked = np.array([b[3] for b in brackets])
+        tol = 1e-9 if scalar_tol else 1e-10 * np.maximum(1.0, np.maximum(abs(lo), abs(hi)))
+
+        def shape(x, c, k):  # + - * and abs only, so floats and arrays agree
+            return np.where(k, -abs(x - c), -(x - c) * (x - c))
+
+        solo, solo_points = [], []
+        for i in range(len(brackets)):
+            points = []
+            f = lambda x, i=i: points.append(x) or shape(x, peak[i], kinked[i])
+            t = tol if scalar_tol else tol[i]
+            solo.append(golden_section_max(f, lo[i], hi[i], t))
+            solo_points.append(points)
+
+        calls = []
+
+        def f(x, rows):
+            calls.append((x.tolist(), rows.tolist()))
+            return shape(x, peak[rows], kinked[rows])
+
+        assert golden_section_max(f, lo, hi, tol) == solo
+        # one call per step, with the next point of every unfinished bracket
+        assert len(calls) == max(len(p) for p in solo_points)
+        for step, (xs, rows) in enumerate(calls):
+            assert rows == [i for i, p in enumerate(solo_points) if len(p) > step]
+            assert xs == [solo_points[i][step] for i in rows]
+
+    def test_refine_max_batch_matches_one_scan_at_a_time(self):
+        f = lambda x: -abs(x - 0.5)
+        grids = [np.linspace(-1.0, 2.0, 7), np.linspace(0.0, 1.0, 11), np.linspace(0.0, 1.0, 5)]
+        values = [3.0 - (grids[0] - 0.7) ** 2, -grids[1], f(grids[2])]
+        values[2][2] = 1.0  # overstates f at node 2: that node and its value win
+        fs = [lambda x: 3.0 - (x - 0.7) * (x - 0.7), lambda x: -x, f]
+        solo = [refine_max(fi, g, v, 1e-12) for fi, g, v in zip(fs, grids, values)]
+        batch_f = lambda x, rows: np.array([fs[r](v) for v, r in zip(x, rows)])
+        assert refine_max(batch_f, grids, values, 1e-12) == solo
+        assert solo[2] == (0.5, 1.0)
+
     def test_refine_max_polishes_between_grid_points(self):
         f = lambda x: 3.0 - (x - 0.7) ** 2
         grid = np.linspace(-1.0, 2.0, 7)  # 0.7 is no node; 0.5 is the best
