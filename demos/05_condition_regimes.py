@@ -1,10 +1,12 @@
 """When does the closed-form envelope apply, and what happens outside it.
 
 The log(2/delta) formula needs the posterior variance to stay below
-0.75 sigma_n^2 everywhere, a zero-mean full-support prior, a threshold
-past which tail masses are unimodal in x, and delta below a computable
-delta0. This script walks four priors through those hypotheses and
-shows the envelope output in each regime.
+0.75 sigma_n^2 everywhere, a zero-mean full-support prior, and delta
+at most delta0 = min(F_Y(-M), 1 - F_Y(M)), the tail mass beyond the
+threshold M past which the marginal density is monotone. delta0 is
+None when M is unknown or the marginal density is not unimodal (the
+bimodal mixture below). This script walks four priors through those
+hypotheses and shows the envelope output in each regime.
 """
 
 from gausspml import (

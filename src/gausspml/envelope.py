@@ -279,32 +279,18 @@ def envelope_bruteforce_lower_bound(m, delta, max_cells):
 
 
 def delta0_estimate(m):
-    """Conservative largest delta at which the two-tail argument applies.
+    """Largest delta at which the two-tail argument applies, or None.
 
-    Checks, on a descending dyadic grid k/64, that both tail cuts for
-    total mass delta land beyond the unimodality threshold M and that
-    the marginal's super-level sets at the cut densities are single runs
-    of the grid (so no interior valley can absorb bad mass), skipping a
-    delta whose tail levels leave the level window. Returns None when M
-    itself is unknown.
+    delta0 = min(F_Y(-M), 1 - F_Y(M)) with M = m.unimodal_tail_threshold():
+    a tail of mass delta <= delta0 on either side has its cut beyond M.
+    Returns None when M is unknown or f_Y is not unimodal on the cached
+    grid (m._is_unimodal); a unimodal f_Y has every super-level set one
+    interval, so no valley can absorb bad mass.
     """
     M = m.unimodal_tail_threshold()
-    if M is None:
+    if M is None or not m._is_unimodal():
         return None
-    f_lo, f_hi = m.level_window
-    for k in range(31, 0, -1):
-        delta = k / 64.0
-        if delta <= f_lo or 1.0 - delta > f_hi:  # delta < 1/2 < 1 - delta
-            continue
-        b_cut = m.marginal_quantile(delta)
-        a_cut = m.marginal_quantile(1.0 - delta)
-        if not (b_cut < -M and a_cut > M):
-            continue
-        tau_l = m.marginal_density(b_cut)
-        tau_r = m.marginal_density(a_cut)
-        if m._superlevel_is_run(tau_l) and m._superlevel_is_run(tau_r):
-            return delta
-    return None
+    return min(m.marginal_cdf(-M), 1.0 - m.marginal_cdf(M))
 
 
 def _closed_form_test(m):
@@ -312,15 +298,15 @@ def _closed_form_test(m):
 
     A Gaussian prior decides by its variance ratio alone. Any other prior
     must have full support and zero mean before condition_report runs,
-    and delta0_estimate runs only once every other hypothesis holds.
+    and pass its variance test before delta0_estimate runs; delta0, None
+    without a tail threshold or a unimodal marginal, bounds delta.
     """
     ratio_ok = m.prior.gaussian_ratio_ok(m.sigma_n)
     if ratio_ok is not None:
         return lambda delta: ratio_ok and delta < 0.5
     if not (m.prior.is_full_support and abs(m._x_mean) <= 1e-8):
         return lambda delta: False
-    report = condition_report(m)
-    if not (report.variance_ok and report.tail_unimodal_M is not None):
+    if not condition_report(m).variance_ok:
         return lambda delta: False
     delta0 = delta0_estimate(m)
     return lambda delta: delta0 is not None and delta <= delta0

@@ -204,11 +204,10 @@ def _union_leakages(m, unions):
     bounded = [i for i, leak in enumerate(leaks) if leak is None]
     if not bounded:
         return leaks
-    ends = np.zeros((2, max(len(unions[i]) for i in bounded), len(bounded)))
+    ends = _cell_ends([unions[i] for i in bounded])
     grids, scans = [], []
     for col, i in enumerate(bounded):
-        lo, hi = cells = np.array([(iv.lo, iv.hi) for iv in unions[i]]).T
-        ends[:, : len(lo), col] = cells
+        lo, hi = ends[:, : len(unions[i]), col]
         span = max(hi[-1] - lo[0], m.sigma_n)
         n = max(_ORACLE_MIN_POINTS, int(math.ceil(span / (m.sigma_n * _ORACLE_SPACING))) + 1)
         grid = np.linspace(lo[0], hi[-1], n)
@@ -226,6 +225,18 @@ def _union_leakages(m, unions):
     for i, (_, q_max) in zip(bounded, polished):
         leaks[i] = LeakageNats(math.log(q_max) - math.log(masses[i]))
     return leaks
+
+
+def _cell_ends(unions):
+    """(lo, hi) table of bounded unions' cells, shaped (2, widest union, unions).
+
+    Column u lists union u's cells in order, zero-padded: a padding
+    cell has lo == hi, so _union_prob adds exactly 0 for it.
+    """
+    ends = np.zeros((2, max(map(len, unions)), len(unions)))
+    for col, union in enumerate(unions):
+        ends[:, : len(union), col] = np.array([(iv.lo, iv.hi) for iv in union]).T
+    return ends
 
 
 def _disjoint_union(union):

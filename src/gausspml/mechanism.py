@@ -5,8 +5,8 @@ object. Every marginal and posterior quantity is a sum of the Gaussian
 noise kernel against the prior's quadrature nodes, computed by the one
 banded reduction `_kernel_reduce`; event masses are kernel probabilities
 summed by `Mechanism._mass`. This module alone holds the nodes and the
-kernel's special functions. Construction tabulates f_Y, f_Y' and F_Y on
-the y grid, and other modules read that table only through Mechanism's
+kernel's special functions. Construction tabulates f_Y' and F_Y on the
+y grid, and other modules read that table only through Mechanism's
 methods; the instance is immutable afterwards and all queries are safe
 to run concurrently.
 """
@@ -21,13 +21,12 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import DomainError, NumericalError, check_number, check_probability
-from .numerics import DEFAULT_CONFIG, QuadratureConfig, _simpson_nodes, find_root_increasing
+from .numerics import _MAX_PANELS, DEFAULT_CONFIG, QuadratureConfig, _simpson_nodes, find_root_increasing
 from .priors import check_prior
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
 _CHUNK = 128  # rows per kernel block; a block spans a few sigma_n on the default grid
-_MAX_PANELS = 2**16  # largest panel count the noise scale may force on a prior
 _TILE = 64  # nodes per pairwise partial sum of F_Y (see _kernel_reduce)
 # largest |raw node sum - 1| of the prior (see _node_weights); a kinked
 # strongly log-concave prior such as SLC(1, 1, 1.1) misses by 5e-7
@@ -221,13 +220,15 @@ class Mechanism:
 
         x_lo, x_hi = self.prior.support(self.cfg)
         # nodes no farther apart than sigma_n / 4 resolve the kernel
-        floor = 2 * math.ceil(2.0 * (x_hi - x_lo) / sn)
-        if floor > max(self.cfg.panel_count, _MAX_PANELS):
+        ratio = 2.0 * (x_hi - x_lo) / sn
+        floor = 2.0 * math.ceil(ratio) if math.isfinite(ratio) else math.inf
+        if floor > _MAX_PANELS:
             raise NumericalError(
-                f"sigma_n={sn!r} needs {floor} quadrature panels over the prior window, "
+                f"sigma_n={sn!r} needs {floor:.6g} quadrature panels over the prior window, "
                 f"more than the {_MAX_PANELS} allowed",
                 operation="mechanism construction",
             )
+        floor = int(floor)
 
         if self.y_grid is None:
             pad = self.cfg.truncation_halfwidth * sn
@@ -284,8 +285,7 @@ class Mechanism:
         object.__setattr__(self, "_x_mean", mean_x)
         object.__setattr__(self, "_sigma_y", math.sqrt(var_x + sn * sn))
 
-        fy, dfy, Fy = self._reduce(grid, ("f", "df", "cdf"))
-        object.__setattr__(self, "_fy_grid", fy)
+        dfy, Fy = self._reduce(grid, ("df", "cdf"))
         object.__setattr__(self, "_dfy_grid", dfy)
         Fy = np.maximum.accumulate(np.clip(Fy, 0.0, 1.0))
         object.__setattr__(self, "_Fy_grid", Fy)
@@ -457,7 +457,8 @@ class Mechanism:
         m_right, m_left = right_tail(y, d), right_tail(-y[::-1], -d[::-1])
         return None if m_right is None or m_left is None else max(m_right, m_left)
 
-    def _superlevel_is_run(self, tau):
-        """Whether {f_Y > tau} is one run of the cached grid, or empty."""
-        above = np.nonzero(self._fy_grid > tau)[0]
-        return above.size == 0 or above[-1] - above[0] + 1 == above.size
+    def _is_unimodal(self):
+        """Whether the cached f_Y' goes from + to - exactly once, ignoring exact zeros."""
+        s = np.sign(self._dfy_grid)
+        s = s[s != 0.0]
+        return bool(s.size and s[0] > 0.0 and s[-1] < 0.0 and np.count_nonzero(np.diff(s)) == 1)

@@ -30,6 +30,7 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _MAX_DOUBLINGS = 8
 # Golden-section steps before tol stops them; 200 shrink a bracket ~1e42-fold.
 _GOLDEN_MAX_ITER = 200
+_MAX_PANELS = 2**16  # finest Simpson rule a Mechanism builds, for panel_count or sigma_n
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,8 @@ class QuadratureConfig:
     truncation_halfwidth is in standardized units: priors and mechanisms
     scale it by their own spread to get a finite window. With the
     default 10, the discarded Gaussian mass is ~1.5e-23, far below every
-    tolerance in the package. panel_count is where integrate() starts and
-    the finest Simpson rule a Mechanism tries (see Mechanism).
+    tolerance in the package. panel_count (at most 2**16) is where
+    integrate() starts and the finest Simpson rule a Mechanism tries.
     """
 
     truncation_halfwidth: float = 10.0
@@ -50,7 +51,7 @@ class QuadratureConfig:
     def __post_init__(self):
         if check_number(self.truncation_halfwidth, "truncation_halfwidth") < 8.0:
             raise DomainError("truncation_halfwidth must be >= 8")
-        check_count(self.panel_count, "panel_count", lo=256)
+        check_count(self.panel_count, "panel_count", lo=256, hi=_MAX_PANELS)
         check_number(self.abs_tol, "abs_tol", positive=True)
 
 

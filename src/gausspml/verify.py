@@ -17,7 +17,7 @@ import numpy as np
 
 from .envelope import _TIE_REL
 from .errors import DomainError, NumericalError, check_count, check_number, check_probability
-from .leakage import Interval, _mass_window, _union_leakages, interval_leakage
+from .leakage import Interval, _cell_ends, _mass_window, _union_leakages, _union_prob, interval_leakage
 from .mechanism import _bounded_numerator, _kernel_prob, _phi_diff
 
 _MAX_UNION_INTERVALS = 4  # random unions have 1 to this many intervals
@@ -252,16 +252,12 @@ def check_bathtub_optimality(m, x, rng_iv, delta, n_random, seed=0):
     star = _mass_window(m, rng_iv, delta, lambda u, v: _phi_diff((u - x) / sn, (v - x) / sn))
     p_star = float(_kernel_prob(star, x, sn))
     rng = np.random.default_rng(check_count(seed, "seed", lo=0))
-    worst = -math.inf
-    worst_loc = None
     draw = _union_sampler(m, window=(rng_iv.lo, rng_iv.hi))
-    for i in range(n_random):
-        union = draw(rng, float(delta))
-        p_rand = sum(float(_kernel_prob(c, x, sn)) for c in union)
-        excess = p_rand - p_star
-        if excess > worst:
-            worst = excess
-            worst_loc = (float(union[0].lo), float(union[-1].hi))
+    unions = [draw(rng, float(delta)) for _ in range(n_random)]
+    excess = _union_prob(*_cell_ends(unions), x, sn) - p_star
+    i = int(np.argmax(excess))  # the first maximum
+    worst = float(excess[i])
+    worst_loc = (float(unions[i][0].lo), float(unions[i][-1].hi))
     return _result(
         "bathtub_optimality",
         worst,

@@ -271,6 +271,7 @@ class TestConfigFile:
             ({"command": "plot"}, "/command"),
             ({"unknown_key": 1}, "/unknown_key"),
             ({"quadrature": {"panel_count": 3000.0}}, "/quadrature"),
+            ({"quadrature": {"panel_count": 2**16 + 2}}, "/quadrature"),
         ],
     )
     def test_schema_violations_name_the_field(self, tmp_path, patch, fragment):
@@ -429,6 +430,23 @@ class TestExitCodes:
         code, _, err = _run(capsys, "--config", str(cfg))
         assert code == 3
         assert "numerical failure" in err
+
+    @pytest.mark.parametrize("patch", [
+        {"sigma_n": 1e-320},
+        {"prior": {"type": "gaussian", "sigma_x": 1e308}},
+        {"prior": {"type": "slc", "beta": 1e308, "c": 1.0, "p": 4.0}},
+        {"quadrature": {"truncation_halfwidth": 1e308}},
+        {"quadrature": {"truncation_halfwidth": 1e200}},
+    ])
+    def test_unresolvable_noise_scale_is_three(self, capsys, tmp_path, patch):
+        # the panel count needed to resolve the noise overflows or dwarfs 2**16
+        config = {"prior": {"type": "gaussian", "sigma_x": 1.0}, "sigma_n": 1.0, **patch}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = _run(capsys, "posterior", "--config", str(cfg), "--y-grid", "0")
+        assert (code, out) == (3, "")
+        assert "quadrature panels over the prior window" in err
+        assert "Traceback" not in err and len(err) < 300
 
     def test_unwritable_out_is_two(self, capsys, tmp_path):
         code, _, err = _run(

@@ -7,8 +7,11 @@ import pytest
 
 from gausspml import (
     DomainError,
+    FinitePartition,
+    GaussianMixturePrior,
     GaussianPrior,
     GridPrior,
+    Interval,
     Mechanism,
     interval_leakage,
     partition_delta_quantile,
@@ -59,19 +62,36 @@ class TestConditionReport:
 
 
 class TestDelta0Estimate:
+    @pytest.mark.parametrize("fixture", ["canonical", "wide_gaussian", "slc"])
+    def test_reads_the_tail_mass_beyond_the_threshold(self, fixture, request):
+        m = request.getfixturevalue(fixture)
+        M = m.unimodal_tail_threshold()
+        want = min(m.marginal_cdf(-M), 1.0 - m.marginal_cdf(M))
+        assert delta0_estimate(m) == want
+
     def test_canonical_near_half(self, canonical):
-        assert delta0_estimate(canonical) == pytest.approx(31.0 / 64.0)
+        # M is half a grid step (0.00488) where the true mode is 0, so
+        # delta0 sits just below 1/2
+        assert delta0_estimate(canonical) == pytest.approx(0.498622, abs=1e-6)
 
     def test_mixture_small(self, mixture):
-        d0 = delta0_estimate(mixture)
-        assert d0 is not None
-        assert d0 == pytest.approx(0.09375, abs=1e-12)
-        # sanity: the certified range stops before the mass parked
-        # beyond the inner mode boundary
-        assert d0 < 0.5
+        # the bimodal marginal has a valley that could absorb bad mass
+        assert delta0_estimate(mixture) is None
 
     def test_oscillating_unknown(self, oscillating):
         assert delta0_estimate(oscillating) is None
+
+    def test_separated_mixture_has_no_delta0(self):
+        # two tails plus two valley cells meeting at y = 0 beat log(2/delta)
+        m = Mechanism(GaussianMixturePrior((0.5, 0.5), (-3.0, 3.0), (1.0, 1.0)), 1.0)
+        assert delta0_estimate(m) is None
+        q = m.marginal_quantile
+        cuts = [-math.inf, q(0.08), q(0.48), 0.0, q(0.52), q(0.92), math.inf]
+        part = FinitePartition(
+            tuple(Interval(lo, hi) for lo, hi in zip(cuts, cuts[1:])),
+            ("left_tail", "core", "valley_1", "valley_2", "core", "right_tail"),
+        )
+        assert float(partition_delta_quantile(m, part, 0.2)) > math.log(10.0) + 0.1
 
 
 class TestEnvelopePoint:
@@ -116,8 +136,16 @@ class TestEnvelopePoint:
 
     def test_slc_above_delta0_falls_back(self, slc):
         d0 = delta0_estimate(slc)
-        p = envelope_point(slc, min(d0 + 0.05, 0.49))
+        p = envelope_point(slc, (d0 + 0.5) / 2.0)
         assert p.regime == "LowerBoundOnly"
+
+    def test_slc_closed_form_up_to_delta0(self, slc):
+        # the search agrees with log(2/delta) above 31/64 too
+        delta = (31.0 / 64.0 + delta0_estimate(slc)) / 2.0
+        p = envelope_point(slc, delta)
+        assert p.regime == "ClosedForm"
+        value, _ = envelope_bruteforce_lower_bound(slc, delta, 4)
+        assert float(p.epsilon_d) == pytest.approx(float(value), abs=1e-9)
 
     def test_oscillating_never_closed_form(self, oscillating):
         p = envelope_point(oscillating, 0.1, max_cells=2)

@@ -96,6 +96,11 @@ class TestConstruction:
         with pytest.raises(NumericalError, match="800000"):
             Mechanism(WidePrior(1.0e3), 0.1)
 
+    def test_panel_floor_overflowing_a_float_raises(self):
+        # 2 * 20 / 1e-320 is infinite: no panel count resolves this noise
+        with pytest.raises(NumericalError, match="needs inf quadrature panels"):
+            Mechanism(GaussianPrior(1.0), 1e-320)
+
     @pytest.mark.parametrize("value", [0.0, math.nan, math.inf])
     def test_node_mass_must_be_finite_and_positive(self, value):
         class Broken(GaussianPrior):
@@ -720,6 +725,25 @@ class TestUnimodalTailThreshold:
         d = -y
         d[1] = -0.5  # y = -5: past -6 + 2, inside the band
         assert self._threshold(y, d) is None
+
+
+class TestIsUnimodal:
+    @staticmethod
+    def _unimodal(dfy):
+        # the method reads only the cached slope
+        return Mechanism._is_unimodal(SimpleNamespace(_dfy_grid=np.asarray(dfy, float)))
+
+    def test_hand_built_slopes(self):
+        assert self._unimodal([1.0, 2.0, 0.5, -0.5, -1.0])
+        assert self._unimodal([0.0, 1.0, 0.0, 0.0, -1.0, 0.0])  # exact zeros are ignored
+        assert not self._unimodal([-1.0, -2.0, -0.5])  # no rise
+        assert not self._unimodal([1.0, 2.0, 0.5])  # no fall
+        assert not self._unimodal([1.0, -1.0, 1.0, -1.0])
+        assert not self._unimodal([0.0, 0.0])
+
+    def test_fixtures(self, canonical, slc, mixture, oscillating):
+        assert canonical._is_unimodal() and slc._is_unimodal()
+        assert not mixture._is_unimodal() and not oscillating._is_unimodal()
 
 
 class TestOneCdf:

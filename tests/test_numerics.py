@@ -221,8 +221,12 @@ class TestQuadratureConfig:
             {"panel_count": 3000.0},
             {"panel_count": True},
             {"abs_tol": "1e-10"},
+            {"panel_count": 2**16 + 2},
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(DomainError):
             QuadratureConfig(**kwargs)
+
+    def test_panel_count_cap_is_accepted(self):
+        assert QuadratureConfig(panel_count=2**16).panel_count == 2**16
